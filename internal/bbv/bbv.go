@@ -27,20 +27,24 @@ type Collector struct {
 	SliceSize uint64
 	profile   *Profile
 
-	cur        Vector
-	curCount   uint64
-	blockStart map[int]uint64 // per-thread current block start PC
-	prevBranch map[int]bool
+	cur      Vector
+	curCount uint64
+	// start is the start PC of thread 0's current basic block (valid once
+	// started is set); prevBranch records that the previous instruction
+	// ended it. run counts the block's instructions not yet added to cur,
+	// so the vector is updated once per block, not once per instruction.
+	start      uint64
+	started    bool
+	prevBranch bool
+	run        uint32
 }
 
 // NewCollector creates a collector with the given slice size.
 func NewCollector(sliceSize uint64) *Collector {
 	return &Collector{
-		SliceSize:  sliceSize,
-		profile:    &Profile{SliceSize: sliceSize},
-		cur:        make(Vector),
-		blockStart: make(map[int]uint64),
-		prevBranch: make(map[int]bool),
+		SliceSize: sliceSize,
+		profile:   &Profile{SliceSize: sliceSize},
+		cur:       make(Vector),
 	}
 }
 
@@ -60,13 +64,12 @@ func (c *Collector) observe(tid int, pc uint64, ins isa.Inst) {
 	if tid != 0 {
 		return
 	}
-	start, ok := c.blockStart[tid]
-	if !ok || c.prevBranch[tid] {
-		start = pc
-		c.blockStart[tid] = pc
+	if !c.started || c.prevBranch {
+		c.addRun()
+		c.start, c.started = pc, true
 	}
-	c.cur[start]++
-	c.prevBranch[tid] = isa.IsBranch(ins.Op)
+	c.run++
+	c.prevBranch = isa.IsBranch(ins.Op)
 	c.curCount++
 	c.profile.TotalInstructions++
 	if c.curCount >= c.SliceSize {
@@ -74,7 +77,16 @@ func (c *Collector) observe(tid int, pc uint64, ins isa.Inst) {
 	}
 }
 
+// addRun credits the current block's pending instructions to the slice.
+func (c *Collector) addRun() {
+	if c.run > 0 {
+		c.cur[c.start] += c.run
+		c.run = 0
+	}
+}
+
 func (c *Collector) flush() {
+	c.addRun()
 	if c.curCount == 0 {
 		return
 	}

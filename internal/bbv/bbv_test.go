@@ -1,11 +1,14 @@
 package bbv
 
 import (
+	"reflect"
 	"testing"
 
 	"elfie/internal/asm"
+	"elfie/internal/isa"
 	"elfie/internal/kernel"
 	"elfie/internal/vm"
+	"elfie/internal/workloads"
 )
 
 func collect(t *testing.T, src string, sliceSize uint64) (*Profile, *vm.Machine) {
@@ -145,5 +148,62 @@ stk: .space 4096
 	}
 	if p.TotalInstructions < 60_000 {
 		t.Errorf("thread 0 profile too small: %d", p.TotalInstructions)
+	}
+}
+
+// TestRunBatchingMatchesPerInstruction checks the collector, which credits
+// a block's instructions once per block, against the per-instruction
+// definition of a BBV on a generated workload: every instruction adds one
+// to its block's entry, a block starts after each branch, and blocks that
+// straddle a slice boundary are split between the two slices.
+func TestRunBatchingMatchesPerInstruction(t *testing.T) {
+	r := workloads.TrainIntRate()[1]
+	r.Sequence = r.Sequence[:3]
+	exe, err := workloads.Build(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := kernel.NewFS()
+	if r.FileInput {
+		fs.WriteFile("/input.dat", workloads.InputFile())
+	}
+	m, err := vm.NewLoaded(kernel.New(fs, 1), exe, []string{r.Name}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MaxInstructions = 2_000_000
+	const slice = 30_011
+	want := &Profile{SliceSize: slice}
+	cur, n := Vector{}, uint64(0)
+	var start uint64
+	started, prevBranch := false, false
+	m.Hooks.OnIns = func(th *vm.Thread, pc uint64, ins isa.Inst) {
+		if th.TID != 0 {
+			return
+		}
+		if !started || prevBranch {
+			start, started = pc, true
+		}
+		cur[start]++
+		prevBranch = isa.IsBranch(ins.Op)
+		n++
+		want.TotalInstructions++
+		if n >= slice {
+			want.Slices = append(want.Slices, cur)
+			cur, n = Vector{}, 0
+		}
+	}
+	got, err := Collect(m, slice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n > 0 {
+		want.Slices = append(want.Slices, cur)
+	}
+	if len(want.Slices) < 10 {
+		t.Fatalf("workload too small: %d slices", len(want.Slices))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("profiles differ: got %d slices, want %d", len(got.Slices), len(want.Slices))
 	}
 }

@@ -14,12 +14,17 @@
 // Every consumer treats a nil *Injector as "injection off", so the zero
 // configuration adds a single nil check and nothing else. All randomness
 // comes from Plan.Seed, so a plan replays identically run to run: the same
-// calls trigger the same faults in the same order.
+// calls trigger the same faults in the same order. Under a concurrent
+// pipeline, site views (Injector.Site) keep every decision independent of
+// the schedule.
 package fault
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 )
@@ -90,13 +95,16 @@ type Plan struct {
 	Rules []Rule `json:"rules"`
 }
 
-// Event records one injected fault, in injection order.
+// Event records one injected fault.
 type Event struct {
-	Point  Point
+	Point Point
+	// Site is the injection site the fault struck ("" for an injector
+	// used without sites; see Injector.Site).
+	Site   string
 	Detail string
 }
 
-// ruleState tracks one rule's trigger and injection counts.
+// ruleState tracks one rule's trigger and injection counts at one site.
 type ruleState struct {
 	Rule
 	triggers uint64
@@ -107,18 +115,50 @@ type ruleState struct {
 // report "no fault", so callers hold a possibly-nil *Injector and call
 // through unconditionally only after a nil check on the hot paths.
 //
-// An Injector is safe for concurrent use: when the checkpoint farm fans
-// region work out across workers, one pipeline-lifetime injector is shared
-// by every machine, and its rule budgets (Count, one-shot points) stay
-// exact — concurrent triggers serialize, so a Count=1 rule injects exactly
-// once no matter how many workers race on it. Which worker's trigger wins
-// is scheduling-dependent, but the *number* of injections, and therefore
-// the pipeline's recovered/dropped accounting, matches the serial run.
+// Sites. When one pipeline fans work out across concurrent workers, each
+// unit of work (a region: its pinball reads, restore stub, replay and
+// ELFie runs) triggers through its own site view, Site(key), and the
+// pipeline declares the canonical site order with SetOrder. Every
+// decision is then a pure function of the plan seed, the rule index, the
+// site key and the site's own trigger sequence, never of which worker
+// arrives first:
+//
+//   - a site's trigger counters (After) and its random draws (Prob,
+//     corruption offsets and bits) are its own; the draws come from a
+//     generator seeded by hashing (plan seed, rule index, site key, file);
+//   - a rule with an injection budget (Count, or the one-shot VM points)
+//     spends the whole budget at one victim site: the first site of the
+//     canonical order. Other sites never draw on it.
+//
+// Without a declared order the injector New returns is its own single
+// site and owns every budget (site views own none), which is the
+// sequential semantics of one machine.
+//
+// An Injector and its site views are safe for concurrent use; they share
+// one lock and one event log.
 type Injector struct {
+	sh    *shared
+	site  string
+	rules []*ruleState
+	rngs  map[rngKey]*rand.Rand
+}
+
+// shared is the state common to an injector and all its site views.
+type shared struct {
 	mu     sync.Mutex
-	rules  []*ruleState
-	rng    *rand.Rand
+	seed   int64
+	plan   []Rule
+	order  []string       // canonical site order; nil: none declared
+	rank   map[string]int // site -> index in order
+	sites  map[string]*Injector
 	events []Event
+}
+
+// rngKey names one random stream of a site: a rule and the file (or
+// other sub-key) the draws are for.
+type rngKey struct {
+	rule int
+	key  string
 }
 
 // New builds an injector for a plan. A nil plan yields a nil injector
@@ -127,20 +167,91 @@ func New(p *Plan) *Injector {
 	if p == nil {
 		return nil
 	}
-	in := &Injector{rng: rand.New(rand.NewSource(p.Seed))}
+	sh := &shared{seed: p.Seed, sites: make(map[string]*Injector)}
 	for _, r := range p.Rules {
-		rs := &ruleState{Rule: r}
-		if rs.Errno == 0 {
-			rs.Errno = 5 // EIO
+		if r.Errno == 0 {
+			r.Errno = 5 // EIO
 		}
-		in.rules = append(in.rules, rs)
+		sh.plan = append(sh.plan, r)
 	}
+	return sh.site("")
+}
+
+// site returns the view for key, creating it on first use. The caller
+// holds sh.mu, or is New, which runs before the injector is shared.
+func (sh *shared) site(key string) *Injector {
+	if in := sh.sites[key]; in != nil {
+		return in
+	}
+	in := &Injector{sh: sh, site: key, rngs: make(map[rngKey]*rand.Rand)}
+	for _, r := range sh.plan {
+		in.rules = append(in.rules, &ruleState{Rule: r})
+	}
+	sh.sites[key] = in
 	return in
 }
 
-// fire reports whether an eligible trigger of rs should inject now,
-// advancing its deterministic counters.
-func (in *Injector) fire(rs *ruleState, oneShot bool) bool {
+// Site returns the injector's view for one injection site, such as a
+// region's pinball name. The same key always yields the same view, so a
+// site's counters persist across the stages that trigger through it. A
+// nil injector yields nil.
+func (in *Injector) Site(key string) *Injector {
+	if in == nil {
+		return nil
+	}
+	in.sh.mu.Lock()
+	defer in.sh.mu.Unlock()
+	return in.sh.site(key)
+}
+
+// SetOrder declares the canonical site order: budgeted rules strike the
+// first site of it, and Events lists faults in it.
+func (in *Injector) SetOrder(keys []string) {
+	if in == nil {
+		return
+	}
+	in.sh.mu.Lock()
+	defer in.sh.mu.Unlock()
+	in.sh.order = append([]string{}, keys...)
+	in.sh.rank = make(map[string]int, len(keys))
+	for i, k := range keys {
+		if _, dup := in.sh.rank[k]; !dup {
+			in.sh.rank[k] = i
+		}
+	}
+}
+
+// victim reports whether this site may spend injection budgets.
+func (in *Injector) victim() bool {
+	if in.sh.order == nil {
+		return in.site == ""
+	}
+	return len(in.sh.order) > 0 && in.site == in.sh.order[0]
+}
+
+// rng returns the site's random stream for rule ri and sub-key key.
+func (in *Injector) rng(ri int, key string) *rand.Rand {
+	k := rngKey{ri, key}
+	r := in.rngs[k]
+	if r == nil {
+		h := fnv.New64a()
+		var b [16]byte
+		binary.LittleEndian.PutUint64(b[:8], uint64(in.sh.seed))
+		binary.LittleEndian.PutUint64(b[8:], uint64(ri))
+		h.Write(b[:])
+		h.Write([]byte(in.site))
+		h.Write([]byte{0})
+		h.Write([]byte(key))
+		r = rand.New(rand.NewSource(int64(h.Sum64())))
+		in.rngs[k] = r
+	}
+	return r
+}
+
+// fire reports whether an eligible trigger of rule ri (sub-key key)
+// should inject now, advancing the site's deterministic counters.
+func (in *Injector) fire(ri int, key string, oneShot bool) bool {
+	rs := in.rules[ri]
 	rs.triggers++
 	if rs.triggers <= rs.After {
 		return false
@@ -149,10 +260,10 @@ func (in *Injector) fire(rs *ruleState, oneShot bool) bool {
 	if limit == 0 && oneShot {
 		limit = 1
 	}
-	if limit > 0 && rs.injected >= limit {
+	if limit > 0 && (rs.injected >= limit || !in.victim()) {
 		return false
 	}
-	if rs.Prob > 0 && rs.Prob < 1 && in.rng.Float64() >= rs.Prob {
+	if rs.Prob > 0 && rs.Prob < 1 && in.rng(ri, key).Float64() >= rs.Prob {
 		return false
 	}
 	rs.injected++
@@ -160,7 +271,7 @@ func (in *Injector) fire(rs *ruleState, oneShot bool) bool {
 }
 
 func (in *Injector) record(p Point, format string, args ...any) {
-	in.events = append(in.events, Event{Point: p, Detail: fmt.Sprintf(format, args...)})
+	in.sh.events = append(in.sh.events, Event{Point: p, Site: in.site, Detail: fmt.Sprintf(format, args...)})
 }
 
 // SyscallErrno reports whether a SyscallError rule fires for syscall num,
@@ -169,16 +280,16 @@ func (in *Injector) SyscallErrno(num uint64) (int, bool) {
 	if in == nil {
 		return 0, false
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, rs := range in.rules {
+	in.sh.mu.Lock()
+	defer in.sh.mu.Unlock()
+	for ri, rs := range in.rules {
 		if rs.Point != SyscallError {
 			continue
 		}
 		if rs.Syscall != nil && *rs.Syscall != num {
 			continue
 		}
-		if in.fire(rs, false) {
+		if in.fire(ri, "", false) {
 			in.record(SyscallError, "syscall %d -> errno %d", num, rs.Errno)
 			return rs.Errno, true
 		}
@@ -193,17 +304,17 @@ func (in *Injector) ShortIO(p Point, num uint64, n uint64) (uint64, bool) {
 	if in == nil || n <= 1 {
 		return n, false
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, rs := range in.rules {
+	in.sh.mu.Lock()
+	defer in.sh.mu.Unlock()
+	for ri, rs := range in.rules {
 		if rs.Point != p {
 			continue
 		}
 		if rs.Syscall != nil && *rs.Syscall != num {
 			continue
 		}
-		if in.fire(rs, false) {
-			short := uint64(in.rng.Int63n(int64(n)))
+		if in.fire(ri, "", false) {
+			short := uint64(in.rng(ri, "").Int63n(int64(n)))
 			in.record(p, "syscall %d: %d -> %d bytes", num, n, short)
 			return short, true
 		}
@@ -217,13 +328,13 @@ func (in *Injector) Trigger(p Point) bool {
 	if in == nil {
 		return false
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, rs := range in.rules {
+	in.sh.mu.Lock()
+	defer in.sh.mu.Unlock()
+	for ri, rs := range in.rules {
 		if rs.Point != p {
 			continue
 		}
-		if in.fire(rs, false) {
+		if in.fire(ri, "", false) {
 			in.record(p, "injected")
 			return true
 		}
@@ -238,21 +349,22 @@ func (in *Injector) CorruptFile(name string, data []byte) []byte {
 	if in == nil {
 		return data
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, rs := range in.rules {
+	in.sh.mu.Lock()
+	defer in.sh.mu.Unlock()
+	for ri, rs := range in.rules {
 		if rs.Point != PinballTruncate && rs.Point != PinballBitflip {
 			continue
 		}
 		if rs.File != "" && !strings.Contains(name, rs.File) {
 			continue
 		}
-		if len(data) == 0 || !in.fire(rs, false) {
+		if len(data) == 0 || !in.fire(ri, name, false) {
 			continue
 		}
+		rng := in.rng(ri, name)
 		off := rs.Offset
 		if off < 0 || off >= int64(len(data)) {
-			off = in.rng.Int63n(int64(len(data)))
+			off = rng.Int63n(int64(len(data)))
 		}
 		switch rs.Point {
 		case PinballTruncate:
@@ -260,7 +372,7 @@ func (in *Injector) CorruptFile(name string, data []byte) []byte {
 			in.record(PinballTruncate, "%s truncated to %d bytes", name, off)
 		case PinballBitflip:
 			data = append([]byte(nil), data...)
-			bit := byte(1) << uint(in.rng.Intn(8))
+			bit := byte(1) << uint(rng.Intn(8))
 			data[off] ^= bit
 			in.record(PinballBitflip, "%s bit %#02x flipped at offset %d", name, bit, off)
 		}
@@ -278,25 +390,26 @@ func (in *Injector) CorruptRestoreStub(name string, code []byte) ([]byte, bool) 
 	if in == nil || len(code) < 8 {
 		return code, false
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, rs := range in.rules {
+	in.sh.mu.Lock()
+	defer in.sh.mu.Unlock()
+	for ri, rs := range in.rules {
 		if rs.Point != ElfieBitflip {
 			continue
 		}
 		if rs.File != "" && !strings.Contains(name, rs.File) {
 			continue
 		}
-		if !in.fire(rs, false) {
+		if !in.fire(ri, name, false) {
 			continue
 		}
+		rng := in.rng(ri, name)
 		words := int64(len(code) / 8)
 		off := rs.Offset * 8
 		if rs.Offset < 0 || rs.Offset >= words {
-			off = in.rng.Int63n(words) * 8
+			off = rng.Int63n(words) * 8
 		}
 		out := append([]byte(nil), code...)
-		bit := byte(1) << uint(in.rng.Intn(8))
+		bit := byte(1) << uint(rng.Intn(8))
 		out[off] ^= bit
 		in.record(ElfieBitflip, "%s opcode bit %#02x flipped at stub offset %d", name, bit, off)
 		return out, true
@@ -311,16 +424,16 @@ func (in *Injector) VMFault(retired uint64) (Point, bool) {
 	if in == nil {
 		return "", false
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, rs := range in.rules {
+	in.sh.mu.Lock()
+	defer in.sh.mu.Unlock()
+	for ri, rs := range in.rules {
 		if rs.Point != PageFault && rs.Point != UngracefulExit {
 			continue
 		}
 		if retired < rs.AtRetired {
 			continue
 		}
-		if in.fire(rs, true) {
+		if in.fire(ri, "", true) {
 			in.record(rs.Point, "at retired=%d", retired)
 			return rs.Point, true
 		}
@@ -328,14 +441,30 @@ func (in *Injector) VMFault(retired uint64) (Point, bool) {
 	return "", false
 }
 
-// Events returns the faults injected so far, in order.
+// Events returns the faults injected so far: by site in the canonical
+// order (sites outside it after, by key), and in injection order within
+// a site, so the list is the same however concurrent sites interleaved.
 func (in *Injector) Events() []Event {
 	if in == nil {
 		return nil
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]Event(nil), in.events...)
+	in.sh.mu.Lock()
+	defer in.sh.mu.Unlock()
+	out := append([]Event(nil), in.sh.events...)
+	rank := func(site string) int {
+		if r, ok := in.sh.rank[site]; ok {
+			return r
+		}
+		return len(in.sh.order)
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		ri, rj := rank(out[i].Site), rank(out[j].Site)
+		if ri != rj {
+			return ri < rj
+		}
+		return out[i].Site < out[j].Site
+	})
+	return out
 }
 
 // InjectedCount returns the number of injections at the given points
@@ -344,13 +473,13 @@ func (in *Injector) InjectedCount(points ...Point) int {
 	if in == nil {
 		return 0
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
+	in.sh.mu.Lock()
+	defer in.sh.mu.Unlock()
 	if len(points) == 0 {
-		return len(in.events)
+		return len(in.sh.events)
 	}
 	n := 0
-	for _, e := range in.events {
+	for _, e := range in.sh.events {
 		for _, p := range points {
 			if e.Point == p {
 				n++

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -160,5 +161,80 @@ func TestProbabilityIsSeeded(t *testing.T) {
 	}
 	if a < 50 || a > 150 {
 		t.Errorf("p=0.5 over 200 trials injected %d times", a)
+	}
+}
+
+// TestSitesIndependentOfArrivalOrder triggers three sites in two different
+// interleavings: the injected events — which site a budgeted rule strikes,
+// and every seeded offset and bit — must not depend on the order.
+func TestSitesIndependentOfArrivalOrder(t *testing.T) {
+	plan := &Plan{Seed: 44, Rules: []Rule{
+		{Point: ElfieBitflip, Count: 1, Offset: -1},
+		{Point: PinballBitflip, File: ".text", Prob: 0.5, Offset: -1},
+		{Point: UngracefulExit, AtRetired: 10},
+	}}
+	sites := []string{"r.s3", "r.s0", "r.s7"}
+	run := func(arrival []int) []Event {
+		in := New(plan)
+		in.SetOrder(sites)
+		for _, i := range arrival {
+			s := in.Site(sites[i])
+			s.CorruptRestoreStub(sites[i], make([]byte, 64))
+			for f := 0; f < 4; f++ {
+				s.CorruptFile(sites[i]+".text", make([]byte, 256))
+			}
+			s.VMFault(5)
+			s.VMFault(10)
+			s.VMFault(11)
+		}
+		return in.Events()
+	}
+	a, b := run([]int{0, 1, 2}), run([]int{2, 1, 0})
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("events depend on arrival order:\n%+v\n%+v", a, b)
+	}
+	// The same sites driven from concurrent goroutines, as the farm does.
+	in := New(plan)
+	in.SetOrder(sites)
+	var wg sync.WaitGroup
+	for _, site := range sites {
+		wg.Add(1)
+		go func(site string) {
+			defer wg.Done()
+			s := in.Site(site)
+			s.CorruptRestoreStub(site, make([]byte, 64))
+			for f := 0; f < 4; f++ {
+				s.CorruptFile(site+".text", make([]byte, 256))
+			}
+			s.VMFault(5)
+			s.VMFault(10)
+			s.VMFault(11)
+		}(site)
+	}
+	wg.Wait()
+	if c := in.Events(); !reflect.DeepEqual(a, c) {
+		t.Fatalf("events depend on concurrent interleaving:\n%+v\n%+v", a, c)
+	}
+	var budgeted int
+	for _, e := range a {
+		if e.Point == ElfieBitflip || e.Point == UngracefulExit {
+			budgeted++
+			if e.Site != "r.s3" {
+				t.Errorf("budgeted rule struck %q, want the first canonical site r.s3: %+v", e.Site, e)
+			}
+		}
+	}
+	if budgeted != 2 {
+		t.Errorf("budgeted injections = %d, want 2 (one per rule): %+v", budgeted, a)
+	}
+	// Unbudgeted probabilistic rules are drawn per site: over 12 reads at
+	// p=0.5 some, but not all, inject.
+	if n := len(a) - budgeted; n == 0 || n == 12 {
+		t.Errorf("p=0.5 rule injected %d of 12 reads", n)
+	}
+	// A site view of a nil injector is nil (injection off).
+	var off *Injector
+	if off.Site("x") != nil {
+		t.Error("nil injector yielded a site view")
 	}
 }

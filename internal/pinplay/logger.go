@@ -132,10 +132,10 @@ func Log(m *vm.Machine, opts LogOptions) (*pinball.Pinball, error) {
 	// bodies. Fall back to the last executed instruction.
 	if lg.lastAtomicPC != 0 {
 		pb.Meta.EndPC = lg.lastAtomicPC
-		pb.Meta.EndCount = lg.pcCounts[lg.lastAtomicPC]
+		pb.Meta.EndCount = lg.pcCounts.get(lg.lastAtomicPC)
 	} else {
 		pb.Meta.EndPC = lg.lastPC
-		pb.Meta.EndCount = lg.pcCounts[lg.lastPC]
+		pb.Meta.EndCount = lg.pcCounts.get(lg.lastPC)
 	}
 	pb.Sched = lg.sched
 	pb.Syscalls = lg.syscalls
@@ -189,6 +189,46 @@ func mergeRanges(rs [][2]uint64) [][2]uint64 {
 	return out
 }
 
+// pcCounter counts executions per instruction address: one array of
+// counters per code page for instruction-aligned PCs, a map for the rest.
+type pcCounter struct {
+	pages  map[uint64]*[mem.PageSize / isa.InstLen]uint64
+	lastPN uint64
+	last   *[mem.PageSize / isa.InstLen]uint64
+	odd    map[uint64]uint64
+}
+
+func (c *pcCounter) inc(pc uint64) {
+	if pc%isa.InstLen != 0 {
+		if c.odd == nil {
+			c.odd = make(map[uint64]uint64)
+		}
+		c.odd[pc]++
+		return
+	}
+	if pn := mem.PageNum(pc); c.last == nil || c.lastPN != pn {
+		if c.pages == nil {
+			c.pages = make(map[uint64]*[mem.PageSize / isa.InstLen]uint64)
+		}
+		if c.last = c.pages[pn]; c.last == nil {
+			c.last = new([mem.PageSize / isa.InstLen]uint64)
+			c.pages[pn] = c.last
+		}
+		c.lastPN = pn
+	}
+	c.last[pc%mem.PageSize/isa.InstLen]++
+}
+
+func (c *pcCounter) get(pc uint64) uint64 {
+	if pc%isa.InstLen != 0 {
+		return c.odd[pc]
+	}
+	if p := c.pages[mem.PageNum(pc)]; p != nil {
+		return p[pc%mem.PageSize/isa.InstLen]
+	}
+	return 0
+}
+
 // loggerTool is the pintool that performs region capture.
 type loggerTool struct {
 	pin.Tool
@@ -196,11 +236,15 @@ type loggerTool struct {
 	opts LogOptions
 	pb   *pinball.Pinball
 
-	captured     map[uint64]bool // page number -> captured
+	captured map[uint64]bool // page number -> captured
+	// seen is a small direct-mapped memo of captured pages (page number
+	// + 1; 0 is empty) that spares the captured map on the per-instruction
+	// and per-access path.
+	seen         [8]uint64
 	sched        []vm.SchedRecord
 	syscalls     []pinball.SyscallEffect
 	startRetired []uint64
-	pcCounts     map[uint64]uint64
+	pcCounts     pcCounter
 	lastPC       uint64
 	lastAtomicPC uint64
 	preFS, preGS map[int]uint64
@@ -211,7 +255,6 @@ func newLoggerTool(m *vm.Machine, opts LogOptions, pb *pinball.Pinball) *loggerT
 	lg := &loggerTool{
 		m: m, opts: opts, pb: pb,
 		captured: make(map[uint64]bool),
-		pcCounts: make(map[uint64]uint64),
 		preFS:    make(map[int]uint64),
 		preGS:    make(map[int]uint64),
 		preArgs:  make(map[int][5]uint64),
@@ -233,6 +276,10 @@ func newLoggerTool(m *vm.Machine, opts LogOptions, pb *pinball.Pinball) *loggerT
 // observes the page as it was at region start.
 func (lg *loggerTool) capturePage(addr uint64) {
 	pn := mem.PageNum(addr)
+	if lg.seen[pn%uint64(len(lg.seen))] == pn+1 {
+		return
+	}
+	lg.seen[pn%uint64(len(lg.seen))] = pn + 1
 	if lg.captured[pn] {
 		return
 	}
@@ -266,7 +313,7 @@ func (lg *loggerTool) onIns(t *vm.Thread, pc uint64, ins isa.Inst) {
 	// Code pages.
 	lg.captureRange(pc, ins.Len())
 	// End-condition profiling.
-	lg.pcCounts[pc]++
+	lg.pcCounts.inc(pc)
 	lg.lastPC = pc
 	switch ins.Op {
 	case isa.XADD, isa.XCHG, isa.CMPXCHG:

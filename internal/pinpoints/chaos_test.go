@@ -3,6 +3,7 @@ package pinpoints
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"elfie/internal/fault"
@@ -92,9 +93,19 @@ func TestChaosPipelineDegradesGracefully(t *testing.T) {
 	}
 }
 
+// chaosResult is what one chaos pipeline run must reproduce at any
+// worker count.
+type chaosResult struct {
+	events             []fault.Event
+	recovered, dropped int
+	allFailed          bool
+	predictedCPI       float64
+}
+
 // chaosOutcome runs the full pipeline (Prepare + native validation) under a
-// fault plan at the given worker count and returns the fault accounting.
-func chaosOutcome(t *testing.T, plan *fault.Plan, jobs int) (injected, recovered, dropped int, allFailed bool) {
+// fault plan at the given worker count and returns the injected events and
+// the fault accounting.
+func chaosOutcome(t *testing.T, plan *fault.Plan, jobs int) chaosResult {
 	t.Helper()
 	cfg := smallConfig()
 	cfg.Fault = plan
@@ -104,52 +115,53 @@ func chaosOutcome(t *testing.T, plan *fault.Plan, jobs int) (injected, recovered
 		if !errors.Is(err, ErrAllRegionsFailed) {
 			t.Fatalf("untyped Prepare failure at -j %d: %v", jobs, err)
 		}
-		return 0, 0, 0, true
+		return chaosResult{allFailed: true}
 	}
 	v, err := ValidateNative(b, 7)
 	if err != nil {
 		t.Fatalf("validation errored at -j %d (should degrade instead): %v", jobs, err)
 	}
 	d := v.Degradation
-	return b.FaultInjector().InjectedCount(), d.Recovered, d.Dropped, false
+	return chaosResult{events: b.FaultInjector().Events(),
+		recovered: d.Recovered, dropped: d.Dropped, predictedCPI: v.PredictedCPI}
 }
 
 // TestChaosThroughFarmParallel drives the seeded fault plans through the
-// checkpoint farm at -j 8: rule budgets are injector-global and
-// mutex-guarded, so the injection count — and with it the recovered+dropped
-// accounting — must match the serial pipeline even though which worker's
-// region takes the hit is scheduling-dependent. Run under -race this also
-// exercises the shared injector, store, and degradation merging for data
-// races.
+// checkpoint farm at -j 1 and -j 8. Injection decisions are per region
+// site and budgets strike the first region of the selection order, so the
+// injected events themselves — point, site and detail — must be identical
+// at both worker counts, and with them the recovered+dropped accounting
+// and the degraded prediction. Run under -race this also exercises the
+// shared injector, store, and degradation merging for data races.
 func TestChaosThroughFarmParallel(t *testing.T) {
 	for name, plan := range chaosPlans() {
 		t.Run(name, func(t *testing.T) {
-			sInj, sRec, sDrop, sFailed := chaosOutcome(t, plan, 1)
-			pInj, pRec, pDrop, pFailed := chaosOutcome(t, plan, 8)
-
-			if sFailed != pFailed {
-				t.Fatalf("total-failure disagreement: serial=%v parallel=%v", sFailed, pFailed)
+			s := chaosOutcome(t, plan, 1)
+			p := chaosOutcome(t, plan, 8)
+			if s.allFailed != p.allFailed {
+				t.Fatalf("total-failure disagreement: serial=%v parallel=%v", s.allFailed, p.allFailed)
 			}
-			if sFailed {
+			if s.allFailed {
 				return
 			}
-			if pInj == 0 {
+			if len(p.events) == 0 {
 				t.Fatal("parallel run injected nothing")
 			}
-			if pInj != sInj {
-				t.Errorf("injection count: serial %d, parallel %d (budgets must be exact)", sInj, pInj)
+			if !reflect.DeepEqual(s.events, p.events) {
+				t.Errorf("injected events differ:\nserial   %+v\nparallel %+v", s.events, p.events)
 			}
-			if sRec+sDrop != sInj {
-				t.Errorf("serial accounting: recovered %d + dropped %d != %d injected", sRec, sDrop, sInj)
+			for _, r := range []chaosResult{s, p} {
+				if r.recovered+r.dropped != len(r.events) {
+					t.Errorf("accounting: recovered %d + dropped %d != %d injected", r.recovered, r.dropped, len(r.events))
+				}
 			}
-			if pRec+pDrop != pInj {
-				t.Errorf("parallel accounting: recovered %d + dropped %d != %d injected", pRec, pDrop, pInj)
+			if s.recovered != p.recovered || s.dropped != p.dropped {
+				t.Errorf("accounting differs: serial %d+%d, parallel %d+%d", s.recovered, s.dropped, p.recovered, p.dropped)
 			}
-			if sRec+sDrop != pRec+pDrop {
-				t.Errorf("accounting differs: serial %d+%d, parallel %d+%d", sRec, sDrop, pRec, pDrop)
+			if s.predictedCPI != p.predictedCPI {
+				t.Errorf("degraded prediction differs: serial %v, parallel %v", s.predictedCPI, p.predictedCPI)
 			}
-			t.Logf("%s: injected=%d serial(rec=%d drop=%d) parallel(rec=%d drop=%d)",
-				name, pInj, sRec, sDrop, pRec, pDrop)
+			t.Logf("%s: events=%+v rec=%d drop=%d predicted=%v", name, p.events, p.recovered, p.dropped, p.predictedCPI)
 		})
 	}
 }

@@ -41,7 +41,7 @@ func (b *Benchmark) replayRegion(rb *regionBuild, jobID string) error {
 
 	res, err := pinplay.Replay(pb, kernel.New(kernel.NewFS(), b.cfg.Seed), pinplay.ReplayOptions{
 		Injection: true,
-		Injector:  b.inj,
+		Injector:  b.inj.Site(reg.Pinball.Name),
 		Ckpt: &harness.CkptOptions{
 			Every: b.cfg.CkptEvery,
 			Name:  ckName,

@@ -52,7 +52,8 @@ type Config struct {
 	// region paths: pinball storage round-trips and native ELFie runs.
 	// Profiling, logging, and whole-program measurement machines stay
 	// clean, so every injected failure maps to exactly one region and the
-	// reference CPI is never silently perturbed.
+	// reference CPI is never silently perturbed. The injected faults are
+	// the same at any Jobs (see fault.Injector.Site).
 	Fault *fault.Plan
 	// Jobs bounds the checkpoint farm's worker pool for per-region work;
 	// 0 means GOMAXPROCS. Any value produces byte-identical artifacts:
@@ -169,7 +170,9 @@ type Benchmark struct {
 	cfg Config
 	// inj is the pipeline-lifetime fault injector (nil when Config.Fault
 	// is nil), shared across region builds and ELFie runs so rule budgets
-	// span the whole pipeline deterministically.
+	// span the whole pipeline. Each region triggers through its own site
+	// (its pinball name) and the selection order is the canonical site
+	// order, so what is injected where never depends on the schedule.
 	inj *fault.Injector
 	// jr is the crash-safe run journal (nil without a store). Every farm
 	// job of the Prepare run is bracketed in it, and checkpointed replays
@@ -283,6 +286,13 @@ func Prepare(r workloads.Recipe, cfg Config) (*Benchmark, error) {
 				return err
 			}
 			b.Selection = sel
+			// The selection order is the fault injector's canonical site
+			// order, so injection never depends on which worker is first.
+			sites := make([]string, len(sel.Regions))
+			for i, s := range sel.Regions {
+				sites[i] = b.pinballName(s.SliceIndex)
+			}
+			b.inj.SetOrder(sites)
 			// Fan out: one log→convert chain per selected region, live
 			// while the farm runs.
 			slots = make([]*regionBuild, len(sel.Regions))
@@ -383,6 +393,12 @@ func (b *Benchmark) regionWindow(slice int) (start, warmup uint64) {
 	return sliceStart - warmup, warmup
 }
 
+// pinballName names the pinball of one slice; it is also the slice's
+// fault-injection site key.
+func (b *Benchmark) pinballName(slice int) string {
+	return fmt.Sprintf("%s.s%d", b.Recipe.Name, slice)
+}
+
 // logSlice captures one slice (plus warm-up) as a fat pinball — the
 // "log" stage of the per-region pipeline.
 func (b *Benchmark) logSlice(slice int) (*pinball.Pinball, error) {
@@ -393,7 +409,7 @@ func (b *Benchmark) logSlice(slice int) (*pinball.Pinball, error) {
 		return nil, err
 	}
 	pb, err := pinplay.Log(s.Machine, pinplay.LogOptions{
-		Name:         fmt.Sprintf("%s.s%d", b.Recipe.Name, slice),
+		Name:         b.pinballName(slice),
 		RegionStart:  start,
 		RegionLength: warmup + cfg.SliceSize,
 		WarmupLength: warmup,
@@ -404,7 +420,7 @@ func (b *Benchmark) logSlice(slice int) (*pinball.Pinball, error) {
 	if b.inj != nil {
 		// Round-trip the pinball through storage so injected corruption can
 		// strike and the integrity manifest is verified in-pipeline.
-		if pb, err = roundTrip(pb, b.inj); err != nil {
+		if pb, err = roundTrip(pb, b.inj.Site(pb.Name)); err != nil {
 			return nil, err // typed pinball errors classify as corrupt-pinball
 		}
 	}
@@ -486,7 +502,7 @@ func (b *Benchmark) corruptRestoreStub(reg *Region) {
 		return
 	}
 	window := sec.Data[lo-sec.Addr : target.Value-sec.Addr]
-	if out, hit := b.inj.CorruptRestoreStub(reg.Pinball.Name, window); hit {
+	if out, hit := b.inj.Site(reg.Pinball.Name).CorruptRestoreStub(reg.Pinball.Name, window); hit {
 		copy(window, out)
 	}
 }
@@ -523,7 +539,7 @@ func (b *Benchmark) elfieConfig(reg *Region, seed int64) (harness.Config, error)
 		Mode: harness.ModeNative, Exe: exe, Argv: []string{"elfie"},
 		FS: fs, Seed: seed,
 		Budget:   4 * (reg.Warmup + b.cfg.SliceSize + 1_000_000),
-		Injector: b.inj,
+		Injector: b.inj.Site(reg.Pinball.Name),
 	}
 	if reg.SysState != nil {
 		cfg.SysState = reg.SysState

@@ -17,15 +17,14 @@ type CacheCfg struct {
 // Standard line size used by every configuration.
 const LineBytes = 64
 
-type cacheSet struct {
-	tags []uint64 // tag values; index 0 = MRU
-	vals []bool
-}
-
 // Cache is one set-associative, LRU cache level.
 type Cache struct {
-	cfg      CacheCfg
-	sets     []cacheSet
+	cfg CacheCfg
+	// ways holds every set's entries back to back, Ways per set, in LRU
+	// order (MRU first). An entry is line+1 for a valid line and 0 for an
+	// empty or invalidated way, so one compare tests valid-and-equal.
+	ways     []uint64
+	nways    int
 	setMask  uint64
 	shift    uint
 	Accesses uint64
@@ -41,10 +40,8 @@ func NewCache(cfg CacheCfg) *Cache {
 	if nsets < 1 {
 		nsets = 1
 	}
-	c := &Cache{cfg: cfg, sets: make([]cacheSet, nsets), setMask: uint64(nsets - 1)}
-	for i := range c.sets {
-		c.sets[i] = cacheSet{tags: make([]uint64, cfg.Ways), vals: make([]bool, cfg.Ways)}
-	}
+	c := &Cache{cfg: cfg, ways: make([]uint64, nsets*cfg.Ways), nways: cfg.Ways,
+		setMask: uint64(nsets - 1)}
 	for s := uint(0); 1<<s < cfg.LineBytes; s++ {
 		c.shift = s + 1
 	}
@@ -54,12 +51,17 @@ func NewCache(cfg CacheCfg) *Cache {
 // Line returns the line address (addr with offset bits cleared).
 func (c *Cache) line(addr uint64) uint64 { return addr >> c.shift }
 
+// set returns the ways of the set line ln maps to.
+func (c *Cache) set(ln uint64) []uint64 {
+	i := int(ln&c.setMask) * c.nways
+	return c.ways[i : i+c.nways : i+c.nways]
+}
+
 // Lookup probes the cache without fill. Returns hit.
 func (c *Cache) Lookup(addr uint64) bool {
 	ln := c.line(addr)
-	set := &c.sets[ln&c.setMask]
-	for w := range set.tags {
-		if set.vals[w] && set.tags[w] == ln {
+	for _, e := range c.set(ln) {
+		if e == ln+1 {
 			return true
 		}
 	}
@@ -71,31 +73,34 @@ func (c *Cache) Lookup(addr uint64) bool {
 func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
 	ln := c.line(addr)
-	set := &c.sets[ln&c.setMask]
-	for w := range set.tags {
-		if set.vals[w] && set.tags[w] == ln {
+	key := ln + 1
+	set := c.set(ln)
+	if set[0] == key {
+		// MRU hit: the LRU order is already right.
+		return true
+	}
+	for w := 1; w < len(set); w++ {
+		if set[w] == key {
 			// Move to MRU.
-			copy(set.tags[1:w+1], set.tags[:w])
-			copy(set.vals[1:w+1], set.vals[:w])
-			set.tags[0], set.vals[0] = ln, true
+			copy(set[1:w+1], set[:w])
+			set[0] = key
 			return true
 		}
 	}
 	c.Misses++
 	// Fill at MRU; evict LRU.
-	copy(set.tags[1:], set.tags[:len(set.tags)-1])
-	copy(set.vals[1:], set.vals[:len(set.vals)-1])
-	set.tags[0], set.vals[0] = ln, true
+	copy(set[1:], set[:len(set)-1])
+	set[0] = key
 	return false
 }
 
 // Invalidate removes a line if present.
 func (c *Cache) Invalidate(addr uint64) {
 	ln := c.line(addr)
-	set := &c.sets[ln&c.setMask]
-	for w := range set.tags {
-		if set.vals[w] && set.tags[w] == ln {
-			set.vals[w] = false
+	set := c.set(ln)
+	for w, e := range set {
+		if e == ln+1 {
+			set[w] = 0
 			return
 		}
 	}
@@ -128,22 +133,26 @@ type Hierarchy struct {
 	l2    []*Cache
 	L3    *Cache
 	// owners tracks which cores may hold each line in private caches.
+	// Every data access enters its line, so its size is also the data
+	// footprint in lines.
 	owners map[uint64]uint32
+	// lastLine/lastMask memoize owners for the most recently accessed
+	// line (lastLine is line+1; 0 is empty). Only AccessData writes
+	// owners, and it refreshes the memo on every access.
+	lastLine uint64
+	lastMask uint32
 
 	// Stats.
 	Invalidations  uint64
 	PrefetchIssued uint64
-	// footprint tracks unique data lines touched.
-	footprint map[uint64]struct{}
 }
 
 // NewHierarchy builds a hierarchy for the given core count.
 func NewHierarchy(cfg HierarchyCfg, cores int) *Hierarchy {
 	h := &Hierarchy{
 		cfg: cfg, cores: cores,
-		L3:        NewCache(cfg.L3),
-		owners:    make(map[uint64]uint32),
-		footprint: make(map[uint64]struct{}),
+		L3:     NewCache(cfg.L3),
+		owners: make(map[uint64]uint32),
 	}
 	for i := 0; i < cores; i++ {
 		h.l1i = append(h.l1i, NewCache(cfg.L1I))
@@ -160,18 +169,23 @@ func (h *Hierarchy) L1DFor(core int) *Cache { return h.l1d[core] }
 func (h *Hierarchy) L2For(core int) *Cache { return h.l2[core] }
 
 // FootprintLines returns the number of unique data lines touched.
-func (h *Hierarchy) FootprintLines() int { return len(h.footprint) }
+func (h *Hierarchy) FootprintLines() int { return len(h.owners) }
 
 // FootprintBytes returns the data footprint in bytes.
-func (h *Hierarchy) FootprintBytes() uint64 { return uint64(len(h.footprint)) * LineBytes }
+func (h *Hierarchy) FootprintBytes() uint64 { return uint64(len(h.owners)) * LineBytes }
 
 // AccessData performs a data access from a core and returns its latency.
 func (h *Hierarchy) AccessData(core int, addr uint64, write bool) int {
-	h.footprint[addr>>6] = struct{}{}
+	ln := addr >> 6
+	bit := uint32(1) << uint(core)
+	mask, seen := h.lastMask, true
+	if h.lastLine != ln+1 {
+		mask, seen = h.owners[ln]
+	}
+	owners := mask | bit
 	if write {
 		// Invalidate other cores' private copies.
-		ln := addr >> 6
-		if mask := h.owners[ln]; mask != 0 {
+		if mask != 0 {
 			for c := 0; c < h.cores; c++ {
 				if c != core && mask&(1<<uint(c)) != 0 {
 					h.l1d[c].Invalidate(addr)
@@ -180,10 +194,12 @@ func (h *Hierarchy) AccessData(core int, addr uint64, write bool) int {
 				}
 			}
 		}
-		h.owners[ln] = 1 << uint(core)
-	} else {
-		h.owners[addr>>6] |= 1 << uint(core)
+		owners = bit
 	}
+	if !seen || owners != mask {
+		h.owners[ln] = owners
+	}
+	h.lastLine, h.lastMask = ln+1, owners
 
 	if h.l1d[core].Access(addr) {
 		return h.cfg.L1D.LatCycles

@@ -152,8 +152,11 @@ type OOOCore struct {
 	// regReady[r] is the cycle register r's newest value is available.
 	regReady  [isa.NumGPR]uint64
 	flagReady uint64
-	// rob holds completion cycles of in-flight instructions (FIFO).
-	rob []uint64
+	// rob holds completion cycles of in-flight instructions: a FIFO ring
+	// of robLen entries starting at robHead, over a power-of-two buffer.
+	rob     []uint64
+	robHead int
+	robLen  int
 	// lsq holds completion cycles of in-flight memory ops.
 	lsq []uint64
 	// frontend is the cycle the fetch stage is ready to deliver.
@@ -177,8 +180,8 @@ func NewOOOCore(cfg CoreCfg, hier *Hierarchy, id int) *OOOCore {
 // drainTo advances the clock until the ROB has room, retiring completed
 // instructions in order at DispatchWidth per cycle.
 func (c *OOOCore) drainTo(occupancy int) {
-	for len(c.rob) > occupancy {
-		head := c.rob[0]
+	for c.robLen > occupancy {
+		head := c.rob[c.robHead]
 		if head > c.clock {
 			c.clock = head
 			c.retireBudget = c.Cfg.DispatchWidth
@@ -187,41 +190,93 @@ func (c *OOOCore) drainTo(occupancy int) {
 			c.clock++
 			c.retireBudget = c.Cfg.DispatchWidth
 		}
-		c.rob = c.rob[1:]
+		c.robHead = (c.robHead + 1) & (len(c.rob) - 1)
+		c.robLen--
 		c.retireBudget--
 	}
 }
 
-// srcRegs returns the source registers of an instruction per the field
-// conventions of the ISA.
-func srcRegs(ins *isa.Inst) (srcs [3]isa.Reg, n int) {
-	op := ins.Op
-	add := func(r uint8) {
-		srcs[n] = isa.Reg(r)
+// robPush appends a completion cycle to the ROB, doubling the ring when
+// it is full (Consume drains to ROBSize-1 first, so a ring sized to the
+// ROB never grows).
+func (c *OOOCore) robPush(done uint64) {
+	if c.robLen == len(c.rob) {
+		n := 1
+		for n < max(c.Cfg.ROBSize, 2*c.robLen) {
+			n *= 2
+		}
+		ring := make([]uint64, n)
+		for i := 0; i < c.robLen; i++ {
+			ring[i] = c.rob[(c.robHead+i)&(len(c.rob)-1)]
+		}
+		c.rob, c.robHead = ring, 0
+	}
+	c.rob[(c.robHead+c.robLen)&(len(c.rob)-1)] = done
+	c.robLen++
+}
+
+// Register-field selectors of the source table: an instruction's source
+// registers are read from its A, B or C field, or are the stack pointer.
+const (
+	fieldA = iota
+	fieldB
+	fieldC
+	fieldRSP
+)
+
+// srcFields lists, per the field conventions of the ISA, which fields
+// name an opcode's source registers.
+func srcFields(op isa.Op) (sel [3]uint8, n int) {
+	add := func(f uint8) {
+		sel[n] = f
 		n++
 	}
 	switch op {
 	case isa.MOV, isa.NOT, isa.NEG, isa.JMPR, isa.CALLR:
-		add(ins.B)
+		add(fieldB)
 	case isa.ADD, isa.SUB, isa.MUL, isa.UDIV, isa.SDIV, isa.UREM,
 		isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SAR,
 		isa.LEA1, isa.LEA8, isa.CMP, isa.TEST:
-		add(ins.B)
-		add(ins.C)
+		add(fieldB)
+		add(fieldC)
 	case isa.ADDI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI,
 		isa.SHLI, isa.SHRI, isa.SARI, isa.CMPI, isa.TESTI,
 		isa.LDB, isa.LDH, isa.LDW, isa.LDQ, isa.LDSB, isa.LDSH, isa.LDSW:
-		add(ins.B)
+		add(fieldB)
 	case isa.STB, isa.STH, isa.STW, isa.STQ, isa.XCHG, isa.XADD, isa.CMPXCHG:
-		add(ins.A)
-		add(ins.B)
+		add(fieldA)
+		add(fieldB)
 	case isa.PUSH, isa.WRFSBASE, isa.WRGSBASE, isa.XSAVE, isa.XRSTOR, isa.RDTSC:
-		add(ins.A)
-		add(uint8(isa.RSP))
+		add(fieldA)
+		add(fieldRSP)
 	case isa.POP, isa.POPF, isa.RET, isa.CALL, isa.PUSHF:
-		add(uint8(isa.RSP))
+		add(fieldRSP)
 	}
-	return srcs, n
+	return sel, n
+}
+
+// srcTable is srcFields for every opcode byte, so the per-instruction
+// dependence check is a table read instead of an opcode switch.
+var srcTable = func() (t [256]struct {
+	sel [3]uint8
+	n   uint8
+}) {
+	for op := range t {
+		sel, n := srcFields(isa.Op(op))
+		t[op].sel, t[op].n = sel, uint8(n)
+	}
+	return t
+}()
+
+// srcRegs returns the source registers of an instruction per the field
+// conventions of the ISA.
+func srcRegs(ins *isa.Inst) (srcs [3]isa.Reg, n int) {
+	e := &srcTable[ins.Op]
+	fields := [4]uint8{fieldA: ins.A, fieldB: ins.B, fieldC: ins.C, fieldRSP: uint8(isa.RSP)}
+	for i := range e.sel {
+		srcs[i] = isa.Reg(fields[e.sel[i]])
+	}
+	return srcs, int(e.n)
 }
 
 // dstReg returns the destination register, or -1.
@@ -329,7 +384,7 @@ func (c *OOOCore) Consume(d *DynInst) {
 		}
 	}
 
-	c.rob = append(c.rob, done)
+	c.robPush(done)
 	if d.MemR || d.MemW {
 		c.lsq = append(c.lsq, done)
 	}
@@ -351,8 +406,10 @@ func (c *OOOCore) Consume(d *DynInst) {
 // currentCycles reports the clock including outstanding completion.
 func (c *OOOCore) currentCycles() uint64 {
 	cy := c.clock
-	if n := len(c.rob); n > 0 && c.rob[n-1] > cy {
-		cy = c.rob[n-1]
+	if c.robLen > 0 {
+		if tail := c.rob[(c.robHead+c.robLen-1)&(len(c.rob)-1)]; tail > cy {
+			cy = tail
+		}
 	}
 	return cy
 }

@@ -52,9 +52,13 @@ func NewFeeder(m *vm.Machine, sink Consumer) *Feeder {
 			prev.OnIns(t, pc, ins)
 		}
 		f.Flush()
-		f.pending = DynInst{
-			TID: t.TID, PC: pc, Ins: ins, Class: isa.OpClass(ins.Op),
-		}
+		// Refill the record field by field: a composite literal would
+		// build a fresh DynInst and copy it on every instruction.
+		d := &f.pending
+		d.TID, d.PC, d.Ins, d.Class = t.TID, pc, ins, isa.OpClass(ins.Op)
+		d.MemR, d.MemW, d.MemAddr, d.MemSize = false, false, 0, 0
+		d.Branch, d.Taken, d.Target = false, false, 0
+		d.Kernel = false
 		f.have = true
 	}
 	m.Hooks.OnMemRead = func(t *vm.Thread, addr uint64, size int) {

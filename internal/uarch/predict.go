@@ -58,8 +58,9 @@ func b2u(b bool) uint64 {
 
 // TLB is a small fully-associative LRU translation buffer.
 type TLB struct {
+	// entries holds the cached pages in LRU order (MRU first); an entry is
+	// page+1, and 0 marks an empty slot.
 	entries []uint64
-	valid   []bool
 	// WalkCycles is the page-walk penalty on miss.
 	WalkCycles int
 
@@ -71,7 +72,6 @@ type TLB struct {
 func NewTLB(entries, walkCycles int) *TLB {
 	return &TLB{
 		entries:    make([]uint64, entries),
-		valid:      make([]bool, entries),
 		WalkCycles: walkCycles,
 	}
 }
@@ -80,19 +80,22 @@ func NewTLB(entries, walkCycles int) *TLB {
 // latency (0 on hit, WalkCycles on miss).
 func (t *TLB) Access(addr uint64) int {
 	t.Accesses++
-	page := addr >> 12
-	for i := range t.entries {
-		if t.valid[i] && t.entries[i] == page {
-			copy(t.entries[1:i+1], t.entries[:i])
-			copy(t.valid[1:i+1], t.valid[:i])
-			t.entries[0], t.valid[0] = page, true
+	key := addr>>12 + 1
+	e := t.entries
+	if e[0] == key {
+		// MRU hit: the LRU order is already right.
+		return 0
+	}
+	for i := 1; i < len(e); i++ {
+		if e[i] == key {
+			copy(e[1:i+1], e[:i])
+			e[0] = key
 			return 0
 		}
 	}
 	t.Misses++
-	copy(t.entries[1:], t.entries[:len(t.entries)-1])
-	copy(t.valid[1:], t.valid[:len(t.valid)-1])
-	t.entries[0], t.valid[0] = page, true
+	copy(e[1:], e[:len(e)-1])
+	e[0] = key
 	return t.WalkCycles
 }
 

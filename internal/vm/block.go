@@ -124,6 +124,23 @@ type pageBlocks struct {
 	gen    uint64
 	blocks map[uint64]*dblock
 	hot    bool
+	// insts is the per-instruction predecode of the page for Machine.step,
+	// allocated on the page's first stepped instruction. It shares the
+	// entry's generation, eviction and Reset with the blocks.
+	insts *pageInsts
+}
+
+// slotsPerPage is the number of instruction-aligned PCs in one page.
+const slotsPerPage = mem.PageSize / isa.InstLen
+
+// pageInsts caches decoded instructions for the hooked interpreter, one
+// slot per instruction-aligned PC of the page. A slot is filled only from
+// a successful decode that lies wholly inside the page, so every fault
+// (unaligned PC, page-straddling LIMM, undecodable word) keeps taking the
+// fetch/decode path with its exact semantics.
+type pageInsts struct {
+	ok  [slotsPerPage]bool
+	ins [slotsPerPage]isa.Inst
 }
 
 // fastPathOK reports whether execution may use the block fast path. Any
@@ -257,29 +274,11 @@ func (m *Machine) evictCold() {
 // means "single-step this address". Hot entries are promoted to
 // superblocks here — this is the one place with the page handle in hand.
 func (m *Machine) lookupBlock(pc uint64) *dblock {
-	as := m.Proc.AS
-	gen, ok := as.ExecGen(pc)
-	if !ok {
+	pb := m.pageEntry(pc)
+	if pb == nil {
 		return nil
 	}
-	pn := mem.PageNum(pc)
-	pb := m.lastPB
-	if pb == nil || m.lastPN != pn || pb.gen != gen {
-		if m.bcache == nil {
-			m.bcache = make(map[uint64]*pageBlocks)
-		}
-		pb = m.bcache[pn]
-		if pb == nil || pb.gen != gen {
-			if len(m.bcache) >= m.cacheCapacity() {
-				m.evictCold()
-			}
-			pb = &pageBlocks{gen: gen, blocks: make(map[uint64]*dblock)}
-			m.bcache[pn] = pb
-		}
-		m.lastPN, m.lastPB = pn, pb
-	}
-	pb.hot = true
-	clock := as.Clock()
+	clock := m.Proc.AS.Clock()
 	blk := pb.blocks[pc]
 	if blk == nil {
 		blk = m.buildBlock(pc)
@@ -311,6 +310,72 @@ func (m *Machine) lookupBlock(pc uint64) *dblock {
 		}
 	}
 	return blk
+}
+
+// pageEntry returns the cache entry of pc's page at the page's current
+// generation, creating it (and making room) on demand. nil means pc is not
+// mapped executable.
+func (m *Machine) pageEntry(pc uint64) *pageBlocks {
+	gen, ok := m.Proc.AS.ExecGen(pc)
+	if !ok {
+		return nil
+	}
+	pn := mem.PageNum(pc)
+	pb := m.lastPB
+	if pb == nil || m.lastPN != pn || pb.gen != gen {
+		if m.bcache == nil {
+			m.bcache = make(map[uint64]*pageBlocks)
+		}
+		old := m.bcache[pn]
+		pb = old
+		if pb == nil || pb.gen != gen {
+			if len(m.bcache) >= m.cacheCapacity() {
+				m.evictCold()
+			}
+			pb = &pageBlocks{gen: gen, blocks: make(map[uint64]*dblock)}
+			if old != nil && old.insts != nil {
+				// Recycle the stale generation's slot array, emptied, so a
+				// code page rewritten in a loop does not allocate one per
+				// write. The clock moved with the rewrite, so no memo
+				// (instSlots) still refers to it.
+				old.insts.ok = [slotsPerPage]bool{}
+				pb.insts, old.insts = old.insts, nil
+			}
+			m.bcache[pn] = pb
+		}
+		m.lastPN, m.lastPB = pn, pb
+	}
+	pb.hot = true
+	return pb
+}
+
+// instSlots returns the predecoded-instruction array of pc's page and pc's
+// slot in it, or nil when pc has no slot: the cache is disabled, pc is not
+// instruction-aligned, or its page is not mapped executable.
+//
+// The array last returned is memoized with the address-space clock: while
+// the clock stands still no mapping, protection or executable-page content
+// has changed, so the page is still executable at the same generation and
+// the per-instruction cost is two compares. Like a chain link, the memo
+// may outlive the array's eviction from the cache; the decodes in it stay
+// exact until the clock moves.
+func (m *Machine) instSlots(pc uint64) (*pageInsts, uint64) {
+	if m.DisableBlockCache || pc%isa.InstLen != 0 {
+		return nil, 0
+	}
+	pn, clock := mem.PageNum(pc), m.Proc.AS.Clock()
+	if m.slots == nil || m.slotsPN != pn || m.slotsClock != clock {
+		pb := m.pageEntry(pc)
+		if pb == nil {
+			m.slots = nil
+			return nil, 0
+		}
+		if pb.insts == nil {
+			pb.insts = new(pageInsts)
+		}
+		m.slots, m.slotsPN, m.slotsClock = pb.insts, pn, clock
+	}
+	return m.slots, (pc & pageMask) / isa.InstLen
 }
 
 // pagesValid re-checks every page generation a block was decoded from.

@@ -54,22 +54,34 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 		}
 	}
 
-	// Fetch. Instructions are 8 bytes; LIMM needs 8 more.
-	if err := as.Fetch(pc, m.fetchBuf[:isa.InstLen]); err != nil {
-		return m.handleFault(t, err), false
-	}
-	n := isa.InstLen
-	if isa.Op(m.fetchBuf[0]) == isa.LIMM {
-		if err := as.Fetch(pc+isa.InstLen, m.fetchBuf[isa.InstLen:]); err != nil {
+	// Predecoded fetch: reuse the instruction decoded at pc while its page
+	// generation is unchanged (see pageInsts).
+	var ins isa.Inst
+	slots, si := m.instSlots(pc)
+	if slots != nil && slots.ok[si] {
+		ins = slots.ins[si]
+	} else {
+		// Fetch. Instructions are 8 bytes; LIMM needs 8 more.
+		if err := as.Fetch(pc, m.fetchBuf[:isa.InstLen]); err != nil {
 			return m.handleFault(t, err), false
 		}
-		n = isa.LimmLen
-	}
-	ins, _, err := isa.Decode(m.fetchBuf[:n])
-	if err != nil {
-		// Undecodable bytes behave like an illegal-instruction fault.
-		m.fatalFault(t, &mem.Fault{Addr: pc, Access: mem.AccessExec})
-		return true, false
+		n := isa.InstLen
+		if isa.Op(m.fetchBuf[0]) == isa.LIMM {
+			if err := as.Fetch(pc+isa.InstLen, m.fetchBuf[isa.InstLen:]); err != nil {
+				return m.handleFault(t, err), false
+			}
+			n = isa.LimmLen
+		}
+		var err error
+		ins, _, err = isa.Decode(m.fetchBuf[:n])
+		if err != nil {
+			// Undecodable bytes behave like an illegal-instruction fault.
+			m.fatalFault(t, &mem.Fault{Addr: pc, Access: mem.AccessExec})
+			return true, false
+		}
+		if slots != nil && pc&pageMask+ins.Len() <= mem.PageSize {
+			slots.ins[si], slots.ok[si] = ins, true
+		}
 	}
 
 	if m.Hooks.OnIns != nil {
@@ -168,11 +180,15 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 		if m.Hooks.OnMemRead != nil {
 			m.Hooks.OnMemRead(t, addr, size)
 		}
-		var buf [8]byte
-		if err := as.Read(addr, buf[:size]); err != nil {
-			return m.handleFault(t, err), false
+		v, ok := as.LoadFast(addr, size)
+		if !ok {
+			// Page-straddling or faulting: the general path.
+			var buf [8]byte
+			if err := as.Read(addr, buf[:size]); err != nil {
+				return m.handleFault(t, err), false
+			}
+			v = leBytes(buf[:size])
 		}
-		v := leBytes(buf[:size])
 		switch ins.Op {
 		case isa.LDSB:
 			v = uint64(int64(int8(v)))
@@ -189,10 +205,12 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 		if m.Hooks.OnMemWrite != nil {
 			m.Hooks.OnMemWrite(t, addr, size)
 		}
-		var buf [8]byte
-		putBytes(buf[:], g[a])
-		if err := as.Write(addr, buf[:size]); err != nil {
-			return m.handleFault(t, err), false
+		if !as.StoreFast(addr, g[a], size) {
+			var buf [8]byte
+			putBytes(buf[:], g[a])
+			if err := as.Write(addr, buf[:size]); err != nil {
+				return m.handleFault(t, err), false
+			}
 		}
 
 	case isa.CMP, isa.CMPI:
@@ -427,7 +445,7 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 	t.Retired++
 	m.GlobalRetired++
 
-	if m.checkPerfOverflow(t) {
+	if len(t.perf) > 0 && m.checkPerfOverflow(t) {
 		return true, true
 	}
 	return yielded, true

@@ -342,6 +342,11 @@ type Machine struct {
 	// lastPN/lastPB memoize the most recent bcache lookup.
 	lastPN uint64
 	lastPB *pageBlocks
+	// slots/slotsPN/slotsClock memoize the hooked interpreter's most
+	// recent predecoded-instruction array (see instSlots).
+	slots      *pageInsts
+	slotsPN    uint64
+	slotsClock uint64
 	// cacheCap overrides maxCachedPages when nonzero (tests shrink it to
 	// exercise eviction without building thousands of pages).
 	cacheCap int
@@ -414,6 +419,7 @@ func (m *Machine) Reset(k *kernel.Kernel, proc *kernel.Process) {
 	m.DisableChaining = false
 	m.bcache = nil
 	m.lastPN, m.lastPB = 0, nil
+	m.slots, m.slotsPN, m.slotsClock = nil, 0, 0
 	m.cacheCap = 0
 	m.building = false
 	m.Halted = false

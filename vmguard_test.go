@@ -2,11 +2,15 @@ package elfie_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
+	"hash"
 	"sort"
 	"testing"
 
 	"elfie/internal/bbv"
+	"elfie/internal/isa"
 	"elfie/internal/kernel"
 	"elfie/internal/vm"
 	"elfie/internal/workloads"
@@ -125,5 +129,82 @@ func TestHookedMatchesFastPath(t *testing.T) {
 	if pa.TotalInstructions != mc.Threads[0].Retired {
 		t.Errorf("BBV total %d != fast-path thread-0 retired %d",
 			pa.TotalInstructions, mc.Threads[0].Retired)
+	}
+}
+
+// hookStream records a machine's complete per-instruction hook event
+// stream — OnIns (pc and the decoded isa.Inst), OnMemRead, OnMemWrite,
+// OnBranch and OnMarker, in firing order — as a running SHA-256 over a
+// fixed binary encoding, with the event count.
+type hookStream struct {
+	h      hash.Hash
+	buf    []byte
+	events uint64
+}
+
+func recordHooks(m *vm.Machine) *hookStream {
+	s := &hookStream{h: sha256.New()}
+	emit := func(kind byte, words ...uint64) {
+		s.buf = append(s.buf[:0], kind)
+		for _, w := range words {
+			s.buf = binary.LittleEndian.AppendUint64(s.buf, w)
+		}
+		s.h.Write(s.buf)
+		s.events++
+	}
+	m.Hooks.OnIns = func(t *vm.Thread, pc uint64, ins isa.Inst) {
+		emit('i', uint64(t.TID), pc, uint64(ins.Op), uint64(ins.A), uint64(ins.B),
+			uint64(ins.C), uint64(uint32(ins.Imm)), ins.Imm64)
+	}
+	m.Hooks.OnMemRead = func(t *vm.Thread, addr uint64, size int) {
+		emit('r', uint64(t.TID), addr, uint64(size))
+	}
+	m.Hooks.OnMemWrite = func(t *vm.Thread, addr uint64, size int) {
+		emit('w', uint64(t.TID), addr, uint64(size))
+	}
+	m.Hooks.OnBranch = func(t *vm.Thread, pc, target uint64, taken bool) {
+		tk := uint64(0)
+		if taken {
+			tk = 1
+		}
+		emit('b', uint64(t.TID), pc, target, tk)
+	}
+	m.Hooks.OnMarker = func(t *vm.Thread, op isa.Op, tag uint32) {
+		emit('m', uint64(t.TID), uint64(op), uint64(tag))
+	}
+	return s
+}
+
+func (s *hookStream) sum() string { return fmt.Sprintf("%d events, sha256 %x", s.events, s.h.Sum(nil)) }
+
+// TestHookStreamPredecodedMatchesDecode is the hooked-path guard: with
+// every observation hook installed, the predecoded fetch of the hooked
+// interpreter must deliver the identical event stream — every OnIns pc
+// and decoded instruction, every memory, branch and marker event — as the
+// pure fetch/decode reference (DisableBlockCache), and retire the same
+// architectural run.
+func TestHookStreamPredecodedMatchesDecode(t *testing.T) {
+	ma := guardMachine(t, 1)
+	sa := recordHooks(ma)
+	if err := ma.Run(); err != nil {
+		t.Fatal(err)
+	}
+	mb := guardMachine(t, 1)
+	mb.DisableBlockCache = true
+	sb := recordHooks(mb)
+	if err := mb.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if sa.events < 500_000 {
+		t.Fatalf("reference workload too small: %d hook events", sa.events)
+	}
+	if a, b := sa.sum(), sb.sum(); a != b {
+		t.Errorf("hook streams diverge:\npredecoded %s\nreference  %s", a, b)
+	}
+	if a, b := summarize(ma), summarize(mb); a != b {
+		t.Errorf("runs diverge:\npredecoded %+v\nreference  %+v", a, b)
+	}
+	if ma.Threads[0].Regs != mb.Threads[0].Regs {
+		t.Error("final register files diverge")
 	}
 }
