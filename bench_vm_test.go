@@ -7,8 +7,8 @@
 // elfierun and farm validation get), "block" the decoded-block cache with
 // chaining and superblocks disabled (the pre-chaining configuration),
 // "interp" the per-instruction interpreter with the cache disabled too,
-// and "hooked" the per-instruction path with an OnIns pintool attached
-// (what bbv/pin profiling pays).
+// and "hooked" the per-instruction path with an OnIns counter attached
+// (what bbv profiling pays).
 //
 // Each benchmark is a thin wrapper over one internal/grid vmcore cell on a
 // corpus micro kernel — the same measurement path as

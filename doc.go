@@ -16,10 +16,10 @@
 //     assembler/linker, and real ELF64 object format;
 //   - internal/mem, internal/kernel, internal/vm — paged memory, syscall
 //     layer with an in-memory filesystem, and the multi-threaded functional
-//     machine with instrumentation hooks;
-//   - internal/pin, internal/pinplay, internal/pinball — the Pin-like
-//     instrumentation framework and the PinPlay logger/replayer with
-//     system-call injection and thread-order enforcement;
+//     machine whose hooks (vm.Hooks) are the Pin-like instrumentation API;
+//   - internal/pinplay, internal/pinball — the PinPlay logger/replayer with
+//     system-call injection and thread-order enforcement, and the pinball
+//     format;
 //   - internal/core — pinball2elf, the paper's primary contribution;
 //   - internal/sysstate, internal/perfle — the SYSSTATE file/heap
 //     re-creation tool and the hardware-counter measurement library;

@@ -1,6 +1,6 @@
 // Package bbv implements basic-block-vector profiling, the input to the
-// SimPoint phase-detection methodology. It is written as a pintool over the
-// VM's instrumentation hooks, like the profilers the PinPoints kit uses.
+// SimPoint phase-detection methodology. It attaches to the VM's
+// instrumentation hooks, as the PinPoints kit's profilers attach to Pin.
 package bbv
 
 import (
@@ -21,7 +21,7 @@ type Profile struct {
 	TotalInstructions uint64
 }
 
-// Collector is the profiling pintool. Slices are counted over thread 0's
+// Collector is the profiling tool. Slices are counted over thread 0's
 // instruction stream (the SimPoint convention for rate runs).
 type Collector struct {
 	SliceSize uint64

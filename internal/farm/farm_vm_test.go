@@ -12,8 +12,9 @@ import (
 )
 
 // TestFarmChainedVMs runs a -j8 farm where every job is a full VM
-// execution on the chained fast path — tight self-loops that loop mode
-// batches, plus a syscall so the inline syscall fast path fires too.
+// execution on the chained fast path — tight self-loops that re-enter
+// their block through the chain, plus a syscall that leaves the chain for
+// the step path.
 // Eight interpreters retiring chained superblocks concurrently is the
 // production shape of a region farm; under `go test -race` this is the
 // data-race guard for the chaining machinery (block caches, page
@@ -41,7 +42,7 @@ loop:
 	xor  r4, r4, r3
 	cmp  r2, r1
 	jnz  loop
-	movi r0, 39          # getpid, retires on the inline fast path
+	movi r0, 39          # getpid, retires on the step path
 	syscall
 	mov  r1, r3
 	andi r1, r1, 127

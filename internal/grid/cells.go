@@ -11,8 +11,8 @@ import (
 	"elfie/internal/fault"
 	"elfie/internal/gem5sim"
 	"elfie/internal/harness"
+	"elfie/internal/isa"
 	"elfie/internal/kernel"
-	"elfie/internal/pin"
 	"elfie/internal/pinball"
 	"elfie/internal/pinplay"
 	"elfie/internal/pinpoints"
@@ -178,9 +178,10 @@ func runVMCore(c *Cell, row *results.Cell) error {
 		}
 		if c.Mode == "hooked" {
 			// The profiling configuration: per-instruction path with an
-			// OnIns pintool attached. Re-attached per repeat — Reset clears
+			// OnIns counter attached. Re-attached per repeat — Reset clears
 			// hooks.
-			pin.NewEngine(s.Machine).Attach(&pin.NewICounter().Tool)
+			var n uint64
+			s.Machine.Hooks.OnIns = func(*vm.Thread, uint64, isa.Inst) { n++ }
 		}
 		sample, err := timeRun(s)
 		if err != nil {

@@ -61,19 +61,6 @@ func (c *InjectCursor) Next(tid int) (*pinball.SyscallEffect, bool) {
 	return &c.effects[q[p]], true
 }
 
-// Peek returns the next logged effect for a thread without consuming it;
-// ok=false when the thread's log is exhausted. The replayer's inline
-// syscall fast path peeks first and only consumes (Next) entries it can
-// retire as pure returns, leaving declined entries in place for the full
-// filter path.
-func (c *InjectCursor) Peek(tid int) (*pinball.SyscallEffect, bool) {
-	q, p := c.queues[tid], c.pos[tid]
-	if p >= len(q) {
-		return nil, false
-	}
-	return &c.effects[q[p]], true
-}
-
 // Remaining returns the unconsumed effects in original log order — the
 // .sel content of a mid-run checkpoint.
 func (c *InjectCursor) Remaining() []pinball.SyscallEffect {

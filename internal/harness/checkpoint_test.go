@@ -391,7 +391,7 @@ func TestCheckpointValidationRejectsRot(t *testing.T) {
 
 // TestCheckpointAcrossChain checkpoints a run while the fast path is deep
 // inside a chained tight loop — no hooks, so the block-chaining executor
-// (loop mode included) is what's actually running — and proves that (a)
+// is what's actually running — and proves that (a)
 // taking periodic mid-chain checkpoints does not perturb the run, and (b)
 // resuming from a mid-chain checkpoint retires the exact remainder of the
 // stream: identical totals, exit status, output, and final registers.

@@ -12,7 +12,6 @@ import (
 	"elfie/internal/isa"
 	"elfie/internal/kernel"
 	"elfie/internal/mem"
-	"elfie/internal/pin"
 	"elfie/internal/pinball"
 	"elfie/internal/vm"
 )
@@ -108,14 +107,16 @@ func Log(m *vm.Machine, opts LogOptions) (*pinball.Pinball, error) {
 		}
 	}
 
-	// Phase 2: run the region under instrumentation.
-	eng := pin.NewEngine(m)
-	eng.Attach(&lg.Tool)
+	// Phase 2: run the region under instrumentation. The logger composes
+	// with the caller's hooks, which are back in place on return.
+	saved := m.Hooks
+	lg.attach()
 	m.MaxInstructions = pb.Meta.RegionStartIcount + opts.RegionLength
-	if err := harness.WrapRun(harness.ModeLog, m.Run()); err != nil {
+	err := harness.WrapRun(harness.ModeLog, m.Run())
+	m.Hooks = saved
+	if err != nil {
 		return nil, err
 	}
-	m.Hooks = vm.Hooks{}
 
 	for i, t := range m.Threads {
 		if i < len(lg.startRetired) {
@@ -229,9 +230,8 @@ func (c *pcCounter) get(pc uint64) uint64 {
 	return 0
 }
 
-// loggerTool is the pintool that performs region capture.
+// loggerTool performs region capture through the machine's hooks.
 type loggerTool struct {
-	pin.Tool
 	m    *vm.Machine
 	opts LogOptions
 	pb   *pinball.Pinball
@@ -263,12 +263,38 @@ func newLoggerTool(m *vm.Machine, opts LogOptions, pb *pinball.Pinball) *loggerT
 	for i, t := range m.Threads {
 		lg.startRetired[i] = t.Retired
 	}
-	lg.Tool.Name = "pinplay-logger"
-	lg.Tool.OnIns = lg.onIns
-	lg.Tool.OnMemRead = lg.onMem
-	lg.Tool.OnMemWrite = lg.onMem
-	lg.Tool.OnSyscall = lg.onSyscall
 	return lg
+}
+
+// attach installs the logger's hooks, each calling the hook it replaces
+// first, as every tool on vm.Hooks does.
+func (lg *loggerTool) attach() {
+	m := lg.m
+	prev := m.Hooks
+	m.Hooks.OnIns = func(t *vm.Thread, pc uint64, ins isa.Inst) {
+		if prev.OnIns != nil {
+			prev.OnIns(t, pc, ins)
+		}
+		lg.onIns(t, pc, ins)
+	}
+	m.Hooks.OnMemRead = func(t *vm.Thread, addr uint64, size int) {
+		if prev.OnMemRead != nil {
+			prev.OnMemRead(t, addr, size)
+		}
+		lg.onMem(addr, size)
+	}
+	m.Hooks.OnMemWrite = func(t *vm.Thread, addr uint64, size int) {
+		if prev.OnMemWrite != nil {
+			prev.OnMemWrite(t, addr, size)
+		}
+		lg.onMem(addr, size)
+	}
+	m.Hooks.OnSyscall = func(t *vm.Thread, num uint64, res kernel.Result) {
+		if prev.OnSyscall != nil {
+			prev.OnSyscall(t, num, res)
+		}
+		lg.onSyscall(t, num, res)
+	}
 }
 
 // capturePage records a page's current content once. Because instruction
@@ -330,7 +356,7 @@ func (lg *loggerTool) onIns(t *vm.Thread, pc uint64, ins isa.Inst) {
 	}
 }
 
-func (lg *loggerTool) onMem(t *vm.Thread, addr uint64, size int) {
+func (lg *loggerTool) onMem(addr uint64, size int) {
 	lg.captureRange(addr, uint64(size))
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"elfie/internal/asm"
+	"elfie/internal/isa"
 	"elfie/internal/kernel"
 	"elfie/internal/pinball"
 	"elfie/internal/vm"
@@ -378,6 +379,64 @@ func TestRegFileFormatRoundTrip(t *testing.T) {
 	}
 	if _, err := pinball.ParseRegs("r99 0x0"); err == nil {
 		t.Error("bad register accepted")
+	}
+}
+
+// Log composes with hooks the caller installed: they keep firing inside
+// the region, and the caller's hooks — not the logger's — are installed
+// once Log returns.
+func TestLogComposesWithCallerHooks(t *testing.T) {
+	m := buildMachine(t, `
+	.text
+	.global _start
+_start:
+	movi r8, 0
+loop:
+	sscmark 7
+	addi r8, r8, 1
+	cmpi r8, 100000
+	jnz  loop
+	movi r0, 231
+	movi r1, 0
+	syscall
+`, 1, nil)
+	const start, length = 100, 1000
+	var ins, insInRegion, markersInRegion int
+	m.Hooks.OnIns = func(th *vm.Thread, pc uint64, in isa.Inst) {
+		ins++
+		if m.GlobalRetired >= start {
+			insInRegion++
+		}
+	}
+	m.Hooks.OnMarker = func(th *vm.Thread, op isa.Op, tag uint32) {
+		if m.GlobalRetired >= start && tag == 7 {
+			markersInRegion++
+		}
+	}
+	if _, err := Log(m, LogOptions{Name: "h", RegionStart: start, RegionLength: length}); err != nil {
+		t.Fatal(err)
+	}
+	if insInRegion != length {
+		t.Errorf("caller OnIns fired %d times in the region, want %d", insInRegion, length)
+	}
+	if markersInRegion != length/4 {
+		t.Errorf("caller OnMarker fired %d times in the region, want %d", markersInRegion, length/4)
+	}
+	h := &m.Hooks
+	if h.OnMemRead != nil || h.OnMemWrite != nil || h.OnSyscall != nil {
+		t.Error("logger hooks still installed after Log")
+	}
+	if h.OnIns == nil || h.OnMarker == nil {
+		t.Fatal("caller hooks not restored after Log")
+	}
+	before, markers := ins, markersInRegion
+	m.MaxInstructions = m.GlobalRetired + 40
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ins-before != 40 || markersInRegion-markers != 10 {
+		t.Errorf("after Log: OnIns fired %d times, OnMarker %d; want 40 and 10",
+			ins-before, markersInRegion-markers)
 	}
 }
 

@@ -175,24 +175,6 @@ func Replay(pb *pinball.Pinball, k *kernel.Kernel, opts ReplayOptions) (*ReplayR
 			res.InjectedSyscalls++
 			return kernel.Result{Ret: e.Ret}, true
 		}
-		if opts.Observe == nil {
-			// Inline injection fast path: a logged entry that is a pure
-			// return — matching number, not re-executed, no memory or
-			// segment effects — retires inside a block chain without the
-			// full state spill. Anything else is left unconsumed (Peek,
-			// not Next) and declines, so the filter above re-runs the call
-			// with precise spilled state and full divergence reporting.
-			m.Hooks.SyscallFast = func(t *vm.Thread, num uint64) (uint64, bool) {
-				e, ok := cursor.Peek(t.TID)
-				if !ok || e.Num != num || e.Executed ||
-					len(e.MemWrites) != 0 || e.FSBase != nil || e.GSBase != nil {
-					return 0, false
-				}
-				cursor.Next(t.TID)
-				res.InjectedSyscalls++
-				return e.Ret, true
-			}
-		}
 		m.Hooks.OnFault = func(t *vm.Thread, f *mem.Fault) bool {
 			diverge(&DivergenceReport{
 				Kind: DivergeFault, TID: t.TID, PC: t.Regs.PC,

@@ -92,12 +92,6 @@ type dblock struct {
 	pages []pageGen
 	// okClock is the address-space clock at last validation (see above).
 	okClock uint64
-	// loop marks a block whose terminator is a direct (conditional) jump
-	// back to its own entry and whose entire body is one batch run: a
-	// tight self-loop. The executor runs such a block in loop mode —
-	// iterations retire inside runSeg with the backedge evaluated inline,
-	// paying no call, dispatch, or link cost per trip around the loop.
-	loop bool
 	// heat counts dispatches, saturating just past superThreshold.
 	heat uint32
 	// superDone marks that superblock formation was already attempted from
@@ -146,8 +140,8 @@ type pageInsts struct {
 // fastPathOK reports whether execution may use the block fast path. Any
 // per-instruction observation hook forces the step path so hooks fire in
 // order; SyscallFilter/OnSyscall/OnFault and the thread hooks are
-// compatible with the fast path because syscalls the chain cannot retire
-// inline and faults fall back to step semantics.
+// compatible with the fast path because syscalls and faults always fall
+// back to step semantics.
 func (m *Machine) fastPathOK() bool {
 	h := &m.Hooks
 	return !m.DisableBlockCache && m.FaultInj == nil &&
@@ -159,10 +153,7 @@ func (m *Machine) fastPathOK() bool {
 // halt, or touch bulk state, and the step path already implements their
 // exact semantics. The decision keys off the shared per-opcode effect
 // metadata in internal/isa so the batching policy and the static
-// verifier's instruction model cannot drift apart. SYSCALL (DetKernel) is
-// the one exception, special-cased in buildBlock: it stays in the block as
-// a terminator so the chain executor can retire pure-return syscalls
-// inline and hand everything else to step.
+// verifier's instruction model cannot drift apart.
 func deoptOp(o isa.Op) bool {
 	switch isa.Determinism(o) {
 	case isa.DetKernel, isa.DetControl:
@@ -173,7 +164,7 @@ func deoptOp(o isa.Op) bool {
 
 // runThreadFast is the hook-free twin of runThread: execute cached block
 // chains when possible, fall back to single steps at boundaries the cache
-// cannot cover (non-inlineable syscalls, faults, cross-page words).
+// cannot cover (syscalls, faults, cross-page words).
 func (m *Machine) runThreadFast(t *Thread, quantum int) int {
 	ran := 0
 	for ran < quantum && t.Alive && !m.Halted && !m.stopReq.Load() {
@@ -190,8 +181,8 @@ func (m *Machine) runThreadFast(t *Thread, quantum int) int {
 		}
 		// The armed-perf-counter budget check is hoisted here so the
 		// common unarmed case pays one branch per chain, not per block.
-		// Syscalls that could arm a counter never retire inside a chain,
-		// so the armed set is stable across one execChain call.
+		// Syscalls, which could arm a counter, never retire inside a
+		// chain, so the armed set is stable across one execChain call.
 		budget := quantum - ran
 		if len(t.perf) > 0 {
 			budget = m.blockBudget(t, budget)
@@ -392,10 +383,9 @@ func (m *Machine) pagesValid(blk *dblock) bool {
 }
 
 // buildBlock predecodes the straight-line run at pc, truncating at the
-// first deopt opcode. SYSCALL is kept as a block terminator (see
-// execChain's inline fast path). Basic blocks never span pages: the
-// predecoder stops at the page's end, and a word straddling the boundary
-// is simply left to step.
+// first deopt opcode. Basic blocks never span pages: the predecoder stops
+// at the page's end, and a word straddling the boundary is simply left to
+// step.
 func (m *Machine) buildBlock(pc uint64) *dblock {
 	as := m.Proc.AS
 	win, _, err := as.ExecWindow(pc)
@@ -404,12 +394,8 @@ func (m *Machine) buildBlock(pc uint64) *dblock {
 	}
 	ins := isa.PredecodeBlock(win, pc, maxBlockLen)
 	for i := range ins {
-		if op := ins[i].Op; deoptOp(op) {
-			if op == isa.SYSCALL {
-				ins = ins[:i+1]
-			} else {
-				ins = ins[:i]
-			}
+		if deoptOp(ins[i].Op) {
+			ins = ins[:i]
 			break
 		}
 	}
@@ -427,9 +413,9 @@ func (m *Machine) buildBlock(pc uint64) *dblock {
 // TLB-head misses the memop tier recovers with exact spill state (a
 // fault, or a store that advances the page-generation clock). Control
 // transfers are excluded — a run must be straight-line — and so are
-// RDTSC, SYSCALL, and the vector memory ops: the per-instruction retire
-// paths handle those at full precision, and runs broken around them
-// would be too short to amortize a runSeg call anyway.
+// RDTSC and the vector memory ops: the per-instruction retire paths
+// handle those at full precision, and runs broken around them would be
+// too short to amortize a runSeg call anyway.
 func batchOp(o isa.Op) bool {
 	switch o {
 	case isa.NOP, isa.FENCE, isa.SSCMARK, isa.MAGIC,
@@ -470,16 +456,6 @@ func attachRuns(b *dblock) {
 			r += b.run[j+1]
 		}
 		b.run[j] = r
-	}
-	// Tight self-loop: the terminator jumps straight back to the entry and
-	// the whole body is one batch run, so the executor may retire entire
-	// iterations inside runSeg with the backedge evaluated inline.
-	if n >= 2 && int(b.run[0]) == n-1 {
-		switch t := &b.ins[n-1]; t.Op {
-		case isa.JMP, isa.JZ, isa.JNZ, isa.JL, isa.JLE, isa.JG, isa.JGE,
-			isa.JB, isa.JBE, isa.JA, isa.JAE, isa.JS, isa.JNS:
-			b.loop = t.Target == b.spc[0]
-		}
 	}
 }
 
@@ -546,27 +522,6 @@ func (m *Machine) buildSuper(entryPC uint64, entry *dblock) *dblock {
 	return sb
 }
 
-// syscallInline retires a side-effect-free system call without spilling
-// hot state or entering the full kernel dispatch. Two providers: the
-// kernel's own pure-return fast path (native runs), or the
-// Hooks.SyscallFast injection fast path (constrained replay). Anything
-// else — observation hooks installed, impure syscalls, a mismatched log
-// entry — declines, and the caller hands the instruction to step for full
-// semantics.
-func (m *Machine) syscallInline(t *Thread, num uint64) (uint64, bool) {
-	h := &m.Hooks
-	if h.OnSyscall != nil {
-		return 0, false
-	}
-	if h.SyscallFilter != nil {
-		if h.SyscallFast == nil {
-			return 0, false
-		}
-		return h.SyscallFast(t, num)
-	}
-	return m.Kernel.SyscallFast(num)
-}
-
 // chainLoad is the block executor's out-of-line load path: an in-page
 // access goes through the read TLB and returns the page handle so the
 // caller can refill its local TLB head; a page-straddling access takes the
@@ -630,8 +585,8 @@ func chainStore(as *mem.AddrSpace, addr, v uint64, size int) (*[mem.PageSize]byt
 // runSeg retires the register-only and TLB-head-hit portion of a batch
 // run — sl[i:end] — stopping early at the first op that needs the memop
 // tier: a head miss, or a stack op on a fresh page. It returns the new
-// instruction index, flags, and the completed loop-iteration count;
-// i < end signals an early stop with sl[i] unexecuted. Nothing in here
+// instruction index and flags; i < end signals an early stop with sl[i]
+// unexecuted. Nothing in here
 // can fault, advance the address-space clock (the write head never holds
 // an executable page), or leave the run, which is why the caller can
 // hoist every per-instruction check. Kept out of execChain — and marked
@@ -640,22 +595,9 @@ func chainStore(as *mem.AddrSpace, addr, v uint64, size int) (*[mem.PageSize]byt
 // machine registers, where the same loop inlined into execChain pays
 // per-iteration stack reloads of everything execChain keeps live.
 //
-// Loop mode (maxIters > 0, only for dblock.loop blocks): sl is the whole
-// block, end indexes its backedge terminator, and after the body retires
-// the branch at sl[end] is evaluated inline — taken means another
-// iteration runs without leaving the function, up to maxIters complete
-// trips. The caller accounts wrapped*len(sl) retired instructions on top
-// of the i ops of the final partial iteration; a return with i == end
-// means the backedge was not taken and is still unexecuted, i == 0 with
-// wrapped == maxIters means the budget slice is used up. maxIters == 0
-// is plain segment mode, where sl[end] is never touched (and for
-// sl == ins[:end] would be out of range).
-//
 //go:noinline
-func runSeg(sl []isa.DecInst, i, end, maxIters int, g *[isa.NumGPR]uint64, flags uint64,
-	rdPN, wrPN uint64, rdPg, wrPg *[mem.PageSize]byte, r *isa.RegFile) (int, uint64, int) {
-	wrapped := 0
-loop:
+func runSeg(sl []isa.DecInst, i, end int, g *[isa.NumGPR]uint64, flags uint64,
+	rdPN, wrPN uint64, rdPg, wrPg *[mem.PageSize]byte, r *isa.RegFile) (int, uint64) {
 	for ; i < end; i++ {
 		d := &sl[i]
 		switch d.Op {
@@ -765,67 +707,67 @@ loop:
 		case isa.LDQ:
 			addr := g[d.B&15] + d.Imm
 			if addr>>mem.PageShift != rdPN || addr&pageMask > mem.PageSize-8 {
-				return i, flags, wrapped
+				return i, flags
 			}
 			g[d.A&15] = binary.LittleEndian.Uint64(rdPg[addr&pageMask:])
 		case isa.LDW:
 			addr := g[d.B&15] + d.Imm
 			if addr>>mem.PageShift != rdPN || addr&pageMask > mem.PageSize-4 {
-				return i, flags, wrapped
+				return i, flags
 			}
 			g[d.A&15] = uint64(binary.LittleEndian.Uint32(rdPg[addr&pageMask:]))
 		case isa.LDH:
 			addr := g[d.B&15] + d.Imm
 			if addr>>mem.PageShift != rdPN || addr&pageMask > mem.PageSize-2 {
-				return i, flags, wrapped
+				return i, flags
 			}
 			g[d.A&15] = uint64(binary.LittleEndian.Uint16(rdPg[addr&pageMask:]))
 		case isa.LDB:
 			addr := g[d.B&15] + d.Imm
 			if addr>>mem.PageShift != rdPN {
-				return i, flags, wrapped
+				return i, flags
 			}
 			g[d.A&15] = uint64(rdPg[addr&pageMask])
 		case isa.LDSB:
 			addr := g[d.B&15] + d.Imm
 			if addr>>mem.PageShift != rdPN {
-				return i, flags, wrapped
+				return i, flags
 			}
 			g[d.A&15] = uint64(int64(int8(rdPg[addr&pageMask])))
 		case isa.LDSH:
 			addr := g[d.B&15] + d.Imm
 			if addr>>mem.PageShift != rdPN || addr&pageMask > mem.PageSize-2 {
-				return i, flags, wrapped
+				return i, flags
 			}
 			g[d.A&15] = uint64(int64(int16(binary.LittleEndian.Uint16(rdPg[addr&pageMask:]))))
 		case isa.LDSW:
 			addr := g[d.B&15] + d.Imm
 			if addr>>mem.PageShift != rdPN || addr&pageMask > mem.PageSize-4 {
-				return i, flags, wrapped
+				return i, flags
 			}
 			g[d.A&15] = uint64(int64(int32(binary.LittleEndian.Uint32(rdPg[addr&pageMask:]))))
 		case isa.STQ:
 			addr := g[d.B&15] + d.Imm
 			if addr>>mem.PageShift != wrPN || addr&pageMask > mem.PageSize-8 {
-				return i, flags, wrapped
+				return i, flags
 			}
 			binary.LittleEndian.PutUint64(wrPg[addr&pageMask:], g[d.A&15])
 		case isa.STW:
 			addr := g[d.B&15] + d.Imm
 			if addr>>mem.PageShift != wrPN || addr&pageMask > mem.PageSize-4 {
-				return i, flags, wrapped
+				return i, flags
 			}
 			binary.LittleEndian.PutUint32(wrPg[addr&pageMask:], uint32(g[d.A&15]))
 		case isa.STH:
 			addr := g[d.B&15] + d.Imm
 			if addr>>mem.PageShift != wrPN || addr&pageMask > mem.PageSize-2 {
-				return i, flags, wrapped
+				return i, flags
 			}
 			binary.LittleEndian.PutUint16(wrPg[addr&pageMask:], uint16(g[d.A&15]))
 		case isa.STB:
 			addr := g[d.B&15] + d.Imm
 			if addr>>mem.PageShift != wrPN {
-				return i, flags, wrapped
+				return i, flags
 			}
 			wrPg[addr&pageMask] = byte(g[d.A&15])
 		case isa.PUSH, isa.PUSHF:
@@ -835,14 +777,14 @@ loop:
 			}
 			sp := g[isa.RSP] - 8
 			if sp>>mem.PageShift != wrPN || sp&pageMask > mem.PageSize-8 {
-				return i, flags, wrapped
+				return i, flags
 			}
 			binary.LittleEndian.PutUint64(wrPg[sp&pageMask:], v)
 			g[isa.RSP] = sp
 		case isa.POP, isa.POPF:
 			sp := g[isa.RSP]
 			if sp>>mem.PageShift != rdPN || sp&pageMask > mem.PageSize-8 {
-				return i, flags, wrapped
+				return i, flags
 			}
 			v := binary.LittleEndian.Uint64(rdPg[sp&pageMask:])
 			g[isa.RSP] = sp + 8
@@ -853,54 +795,10 @@ loop:
 			}
 
 		default:
-			return i, flags, wrapped
+			return i, flags
 		}
 	}
-	if wrapped < maxIters {
-		// Loop mode: evaluate the backedge at sl[end] inline. attachRuns
-		// only marks blocks whose terminator is a direct (conditional)
-		// jump back to sl[0], so taken simply restarts the body. The
-		// condition logic mirrors condTaken, written out here because the
-		// compiler declines to inline it and a real call would cost this
-		// leaf its registers.
-		var taken bool
-		switch sl[end].Op {
-		case isa.JMP:
-			taken = true
-		case isa.JZ:
-			taken = flags&isa.FlagZ != 0
-		case isa.JNZ:
-			taken = flags&isa.FlagZ == 0
-		case isa.JL:
-			taken = (flags&isa.FlagS != 0) != (flags&isa.FlagO != 0)
-		case isa.JLE:
-			taken = flags&isa.FlagZ != 0 || (flags&isa.FlagS != 0) != (flags&isa.FlagO != 0)
-		case isa.JG:
-			taken = flags&isa.FlagZ == 0 && (flags&isa.FlagS != 0) == (flags&isa.FlagO != 0)
-		case isa.JGE:
-			taken = (flags&isa.FlagS != 0) == (flags&isa.FlagO != 0)
-		case isa.JB:
-			taken = flags&isa.FlagC != 0
-		case isa.JBE:
-			taken = flags&(isa.FlagC|isa.FlagZ) != 0
-		case isa.JA:
-			taken = flags&(isa.FlagC|isa.FlagZ) == 0
-		case isa.JAE:
-			taken = flags&isa.FlagC == 0
-		case isa.JS:
-			taken = flags&isa.FlagS != 0
-		case isa.JNS:
-			taken = flags&isa.FlagS == 0
-		}
-		if taken {
-			wrapped++
-			i = 0
-			if wrapped < maxIters {
-				goto loop
-			}
-		}
-	}
-	return i, flags, wrapped
+	return i, flags
 }
 
 // execChain executes decoded blocks starting at blk, following chain links
@@ -909,9 +807,8 @@ loop:
 // write TLB head — lives in locals and is spilled to the Thread exactly
 // once, at chain exit: quantum/budget boundary, address-space clock
 // change, stop request, fault, or an instruction only step can run. The
-// bool result reports that last case — the instruction at t.Regs.PC (a
-// syscall the inline path declined, or an unbatchable address) must be
-// executed by Machine.step.
+// bool result reports that last case — the instruction at t.Regs.PC must
+// be executed by Machine.step.
 //
 // Architectural effects commit per instruction in program order, so a
 // fault or side exit leaves the thread exactly at the offending
@@ -924,7 +821,7 @@ loop:
 // The local TLB heads cache one readable and one writable page each
 // (never executable ones, see chainStore); they stay coherent because
 // page data is only ever mutated in place, and mapping changes can only
-// happen inside syscalls, which always exit or re-enter the chain.
+// happen inside syscalls, which always exit the chain.
 func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 	as := m.Proc.AS
 	r := &t.Regs
@@ -943,31 +840,12 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 	var rdPg, wrPg *[mem.PageSize]byte
 
 	for {
-		// Loop mode: a tight self-loop whose whole body is batchable runs
-		// entire iterations inside runSeg, backedge included, bounded by the
-		// remaining budget. On return the executor resumes per-instruction
-		// at sl[i] — the op after the final complete iteration (budget slice
-		// spent, i == 0), a TLB-head miss mid-body, or the not-taken
-		// backedge (i == last) — so quantum, perf-counter, and side-exit
-		// semantics are exactly those of per-instruction execution.
-		if blk.loop && i == 0 && !m.DisableChaining {
-			if iters := (budget - ran) / len(blk.ins); iters > 0 {
-				var w int
-				i, flags, w = runSeg(blk.ins, 0, len(blk.ins)-1, iters,
-					g, flags, rdPN, wrPN, rdPg, wrPg, r)
-				// w complete iterations plus the i leading ops of the final
-				// partial one retired; sl[i] is the next op to execute.
-				ran += w*len(blk.ins) + i
-				pc = blk.spc[i]
-				goto perins
-			}
-		}
 		// Batch run: retire a straight-line run of batchable ops with the
 		// budget and side-exit checks hoisted out of the loop. Nothing in a
 		// run can branch or enter the scheduler, and the rare events that do
-		// interrupt one (a fault, a declined syscall, a store that advances
-		// the clock) carry exact recovery state, so batching is precisely
-		// equivalent to per-instruction execution.
+		// interrupt one (a fault, a store that advances the clock) carry
+		// exact recovery state, so batching is precisely equivalent to
+		// per-instruction execution.
 		if n := int(blk.run[i]); n >= segMin && ran+n <= budget {
 			// start lets the rare bail-outs (fault, SMC store) reconstruct
 			// the exact retired count mid-run.
@@ -981,7 +859,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 			// spill, ...), which the memop tier below handles before
 			// re-entering the segment.
 			if end-i >= segMin {
-				i, flags, _ = runSeg(sl, i, end, 0, g, flags, rdPN, wrPN, rdPg, wrPg, r)
+				i, flags = runSeg(sl, i, end, g, flags, rdPN, wrPN, rdPg, wrPg, r)
 				if i < end {
 					d = &sl[i]
 					goto memop
@@ -1430,14 +1308,6 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 			g[d.A&15] = 0x50564d31
 		case isa.RDTSC:
 			g[d.A&15] = m.Kernel.Clock.Now(m.GlobalRetired + uint64(ran))
-
-		case isa.SYSCALL:
-			ret, ok := m.syscallInline(t, g[isa.R0])
-			if !ok {
-				needStep = true
-				goto out
-			}
-			g[isa.R0] = ret
 
 		case isa.XCHG:
 			addr := g[d.B&15] + d.Imm

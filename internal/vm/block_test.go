@@ -172,14 +172,29 @@ func TestFastPathSelection(t *testing.T) {
 	}
 }
 
-// The block executor and the step path must retire the identical stream on
-// a branchy, memory-heavy, syscall-using program: same registers, retired
-// counts, output, and exit status.
+// The block executor and the step path must retire the identical stream:
+// same registers, retired counts, output, and exit status. Each program
+// writes "ok\n" and exits with status 7.
 func TestBlockStepEquivalence(t *testing.T) {
-	src := `
-		.text
-		.global _start
-_start:
+	const tail = `
+		movi r0, 1        # write
+		movi r1, 1
+		limm r2, msg
+		movi r3, 3
+		syscall
+		movi r0, 231      # exit_group
+		movi r1, 7
+		syscall
+		.data
+msg:	.ascii "ok\n"
+buf:	.quad 0
+`
+	cases := []struct {
+		name    string
+		quantum int // scheduler quantum; 0 keeps the default
+		body    string
+	}{
+		{name: "branchy-memory", body: `
 		movi r1, 0        # i
 		movi r2, 0        # sum
 		limm r6, buf
@@ -192,36 +207,84 @@ loop:
 		pop  r4
 		cmpi r1, 500
 		jnz  loop
-		movi r0, 1        # write
-		movi r1, 1
-		limm r2, msg
-		movi r3, 3
+`},
+		// Side-effect-free syscalls in a hot loop: each one ends a block
+		// and retires on the step path.
+		{name: "getpid-nanosleep", body: `
+		movi r7, 0
+		movi r8, 0
+loop:
+		movi r0, 39       # getpid
 		syscall
-		movi r0, 231      # exit_group
-		movi r1, 7
+		add  r8, r8, r0
+		movi r0, 35       # nanosleep
+		limm r1, buf
+		movi r2, 0
 		syscall
-		.data
-msg:	.ascii "ok\n"
-buf:	.quad 0
-	`
-	fast := run(t, src, 1)
-	slow := load(t, src, 1)
-	slow.DisableBlockCache = true
-	if err := slow.Run(); err != nil {
-		t.Fatal(err)
+		add  r8, r8, r0
+		addi r7, r7, 1
+		cmpi r7, 300
+		jnz  loop
+`},
+		// An all-batchable tight self-loop under a small quantum that is
+		// longer than the 7-instruction body and coprime to it: whole
+		// bodies still batch, and quantum boundaries fall at every offset
+		// inside an iteration.
+		{name: "tight-self-loop", quantum: 17, body: `
+		movi r1, 0
+		movi r2, 1
+loop:
+		addi r1, r1, 1
+		add  r2, r2, r1
+		xor  r3, r3, r2
+		shli r4, r3, 3
+		sub  r5, r4, r1
+		cmpi r1, 2000
+		jnz  loop
+`},
 	}
-	if fast.GlobalRetired != slow.GlobalRetired {
-		t.Errorf("retired: fast %d, slow %d", fast.GlobalRetired, slow.GlobalRetired)
-	}
-	if fast.ExitStatus != slow.ExitStatus || fast.ExitStatus != 7 {
-		t.Errorf("exit: fast %d, slow %d", fast.ExitStatus, slow.ExitStatus)
-	}
-	if string(fast.Stdout()) != "ok\n" || string(slow.Stdout()) != "ok\n" {
-		t.Errorf("stdout: fast %q slow %q", fast.Stdout(), slow.Stdout())
-	}
-	ff, sf := fast.Threads[0].Regs, slow.Threads[0].Regs
-	if ff.GPR != sf.GPR || ff.Flags != sf.Flags {
-		t.Errorf("final registers differ:\nfast %v\nslow %v", ff.GPR, sf.GPR)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := "\t\t.text\n\t\t.global _start\n_start:" + tc.body + tail
+			fast := load(t, src, 1)
+			slow := load(t, src, 1)
+			slow.DisableBlockCache = true
+			for _, m := range []*Machine{fast, slow} {
+				if tc.quantum > 0 {
+					m.Sched = NewRoundRobin(tc.quantum, 0, 0)
+				}
+				if err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if fast.GlobalRetired != slow.GlobalRetired {
+				t.Errorf("retired: fast %d, slow %d", fast.GlobalRetired, slow.GlobalRetired)
+			}
+			if fast.ExitStatus != slow.ExitStatus || fast.ExitStatus != 7 {
+				t.Errorf("exit: fast %d, slow %d", fast.ExitStatus, slow.ExitStatus)
+			}
+			if string(fast.Stdout()) != "ok\n" || string(slow.Stdout()) != "ok\n" {
+				t.Errorf("stdout: fast %q slow %q", fast.Stdout(), slow.Stdout())
+			}
+			ff, sf := fast.Threads[0].Regs, slow.Threads[0].Regs
+			if ff.GPR != sf.GPR || ff.Flags != sf.Flags {
+				t.Errorf("final registers differ:\nfast %v\nslow %v", ff.GPR, sf.GPR)
+			}
+			// Syscalls always retire on the step path: buildBlock ends a
+			// block before one, so no block or superblock holds one.
+			if len(fast.bcache) == 0 {
+				t.Fatal("fast run built no blocks")
+			}
+			for _, pb := range fast.bcache {
+				for pc, blk := range pb.blocks {
+					for _, d := range blk.ins {
+						if d.Op == isa.SYSCALL {
+							t.Errorf("block at %#x holds a SYSCALL at %#x", pc, d.PC())
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

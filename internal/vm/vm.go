@@ -2,8 +2,9 @@
 // machine with a pluggable scheduler, hardware-style per-thread performance
 // counters, and instrumentation hooks.
 //
-// The hooks are the substrate for package pin (the Pin-like instrumentation
-// framework); the scheduler abstraction is what lets the PinPlay replayer
+// The hooks are the repo's instrumentation API, its stand-in for Pin: every
+// tool attaches by setting the hooks it needs and calling the hook it
+// replaced first. The scheduler abstraction is what lets the PinPlay replayer
 // enforce the recorded thread interleaving while native ELFie runs get a
 // seeded, jittering round-robin that models run-to-run variation.
 package vm
@@ -110,16 +111,6 @@ type Hooks struct {
 	// SyscallFilter, when non-nil, may handle a system call entirely
 	// (returning handled=true) — the replayer's side-effect injection.
 	SyscallFilter func(t *Thread, num uint64) (res kernel.Result, handled bool)
-	// SyscallFast, when set alongside SyscallFilter, may retire a
-	// side-effect-free system call inline on the block fast path: a
-	// pure-return injection (ok=true) commits ret to R0 without the full
-	// state spill or kernel round-trip. It is called with hot state
-	// unspilled — t.Regs.PC and the retired counters are stale — so an
-	// implementation must only consult the thread identity and its own
-	// log cursor, never t.Regs, and must decline (ok=false) anything with
-	// memory/segment effects; declined calls re-execute via SyscallFilter
-	// with fully spilled state.
-	SyscallFast func(t *Thread, num uint64) (ret uint64, ok bool)
 	// OnSyscall fires after a system call (native or injected) completes.
 	OnSyscall func(t *Thread, num uint64, res kernel.Result)
 	// OnFault may handle a memory fault (e.g. by injecting a logged page);

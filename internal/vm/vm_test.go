@@ -587,15 +587,28 @@ func TestThreadHooks(t *testing.T) {
 		.text
 		.global _start
 _start:
-`+exitSnippet, 1)
-	// Thread 0 was created by NewLoaded before hooks were set; count only
-	// via exit hook plus a fresh machine for the start hook.
+		movi r0, 56       # clone
+		movi r1, 0
+		limm r2, stk+4096
+		limm r3, w
+		syscall
+		movi r0, 60       # exit
+		syscall
+w:		movi r0, 60
+		syscall
+		.bss
+stk:	.space 4096
+`, 1)
+	// Thread 0 was created by NewLoaded before the hooks were set, so only
+	// the clone's start is seen; both exits are.
+	m.Hooks.OnThreadStart = func(th *Thread) { starts++ }
 	m.Hooks.OnThreadExit = func(th *Thread) { exits++ }
-	m.Run()
-	if exits != 1 {
-		t.Errorf("exits = %d", exits)
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
 	}
-	_ = starts
+	if starts != 1 || exits != 2 {
+		t.Errorf("starts = %d, exits = %d; want 1 and 2", starts, exits)
+	}
 }
 
 func TestRoundRobinStateRoundTrip(t *testing.T) {
